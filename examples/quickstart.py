@@ -7,27 +7,23 @@ Table 2's classification, the blocking fractions, and the significance
 quadrant of §6.
 
 Usage:
-    python examples/quickstart.py [seed] [workers]
-
-Pass a worker count >1 to run pairing and classification on the sharded
-multiprocessing pipeline — the results are byte-identical either way.
+    python examples/quickstart.py [seed]
 """
 
 import sys
 
-from repro.core.parallel import parallel_study
+from repro.core.context import ContextStudy
 from repro.workload.generate import generate_trace
 from repro.workload.scenario import ScenarioConfig
 
 
 def main() -> None:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 1
-    workers = int(sys.argv[2]) if len(sys.argv) > 2 else 1
     config = ScenarioConfig(seed=seed, houses=10, duration=6 * 3600.0)
 
     print(f"Generating synthetic residential trace (seed={seed})...")
     trace = generate_trace(config)
-    study = parallel_study(trace, workers=workers)
+    study = ContextStudy(trace)
     print(f"  {trace.summary()}\n")
 
     print("Table 2 — DNS information origin by connection:")

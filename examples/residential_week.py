@@ -10,17 +10,13 @@ CDF, and exports the machine-readable artifacts:
     out/fig*.csv                  — every figure's CDF series
 
 Usage:
-    python examples/residential_week.py [houses] [hours] [seed] [outdir] [workers]
-
-A worker count >1 runs the hot pipeline stages (pairing and
-classification) on the sharded multiprocessing pipeline; every number
-printed is byte-identical to the serial run.
+    python examples/residential_week.py [houses] [hours] [seed] [outdir]
 """
 
 import os
 import sys
 
-from repro.core.parallel import parallel_study
+from repro.core.context import ContextStudy
 from repro.monitor.logs import save_conn_log, save_dns_log
 from repro.workload.generate import generate_trace
 from repro.report.figures import ascii_cdf, series_to_csv
@@ -40,12 +36,11 @@ def main() -> None:
     hours = float(sys.argv[2]) if len(sys.argv) > 2 else 12.0
     seed = int(sys.argv[3]) if len(sys.argv) > 3 else 1
     outdir = sys.argv[4] if len(sys.argv) > 4 else "out"
-    workers = int(sys.argv[5]) if len(sys.argv) > 5 else 1
     os.makedirs(outdir, exist_ok=True)
 
     config = ScenarioConfig(seed=seed, houses=houses, duration=hours * 3600.0)
     print(f"Generating {houses} houses x {hours:.0f}h (seed={seed})...")
-    study = parallel_study(generate_trace(config), workers=workers)
+    study = ContextStudy(generate_trace(config))
     print(f"  {study.trace.summary()}\n")
 
     save_dns_log(os.path.join(outdir, "dns.log"), study.trace.dns)

@@ -3,9 +3,9 @@
 
 Generates a seeded week-long synthetic scenario once (timing generation
 separately and checking its trace digest against the pre-optimization
-baseline), runs the full pairing → classification → performance
-pipeline serially and with a worker pool, verifies the outputs are
-identical, benchmarks a multi-seed generation sweep through
+baseline), runs the §4–§6 pipeline (:func:`run_pipeline`, the
+streaming engine over the in-memory trace) serially and with a worker
+fan-out, verifies the outputs are identical, benchmarks a multi-seed generation sweep through
 :func:`repro.core.parallel.run_scenarios`, and runs a generation-scaling
 grid (house counts x shard counts, with a TSV-vs-binary ingest
 comparison and a binlog round-trip digest gate). Writes
@@ -45,6 +45,7 @@ from repro.core.checkpoint import (  # noqa: E402
     DEFAULT_CHECKPOINT_INTERVAL_S,
     discard_checkpoint,
 )
+from repro.core.context import ContextStudy  # noqa: E402
 from repro.core.parallel import (  # noqa: E402
     effective_worker_count,
     run_pipeline,
@@ -303,20 +304,21 @@ def _analysis_child(task: tuple[str, str, str]) -> dict:
 
     Runs in a spawn-context child so :func:`_peak_rss_kb` isolates the
     peak RSS of exactly one engine over the on-disk logs: ``batch``
-    loads both logs and runs the reference pipeline,
-    ``streaming-exact`` one-passes lazy log iterators with full-sample
-    (batch-identical) statistics, and ``streaming-sketch`` one-passes
-    them with quantile sketches and a one-hour pairing window — the
-    bounded-memory configuration. Returns wall time, peak RSS, and a
-    digest of the rendered report (equal for ``batch`` and
-    ``streaming-exact`` by the engine's parity guarantee).
+    loads both logs and renders the per-connection reference
+    (:meth:`ContextStudy.pipeline_result`), ``streaming-exact``
+    one-passes lazy log iterators with full-sample (reference-identical)
+    statistics, and ``streaming-sketch`` one-passes them with quantile
+    sketches and a one-hour pairing window — the bounded-memory
+    configuration. Returns wall time, peak RSS, and a digest of the
+    rendered report (equal for ``batch`` and ``streaming-exact`` by the
+    engine's parity guarantee).
     """
     mode, dns_path, conn_path = task
     start = time.perf_counter()
     report = None
     if mode == "batch":
         trace = Trace(dns=load_dns_log(dns_path), conns=load_conn_log(conn_path))
-        report = render_pipeline_report(run_pipeline(trace, workers=1))
+        report = render_pipeline_report(ContextStudy(trace).pipeline_result())
     elif mode == "streaming-exact":
         result = run_streaming_pipeline(iter_dns_log(dns_path), iter_conn_log(conn_path))
         report = render_pipeline_report(result)
@@ -339,10 +341,11 @@ def _time_streaming(trace) -> dict:
     """Streaming-vs-batch wall time and peak RSS over on-disk logs.
 
     The comparison the streaming engine exists for: week-scale logs
-    analysed by (a) the batch pipeline after loading both logs, (b) the
-    exact streaming pass, (c) the sketched streaming pass. Each runs in
-    its own spawn child (see :func:`_analysis_child`); the recorded
-    ``rss_ratio`` entries are streaming peak RSS over batch peak RSS.
+    analysed by (a) the per-connection reference after loading both
+    logs, (b) the exact streaming pass, (c) the sketched streaming pass.
+    Each runs in its own spawn child (see :func:`_analysis_child`); the
+    recorded ``rss_ratio`` entries are streaming peak RSS over batch
+    peak RSS.
     """
     rows = []
     with tempfile.TemporaryDirectory(prefix="bench-streaming-") as tmp:

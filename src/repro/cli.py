@@ -38,11 +38,7 @@ from repro.core.checkpoint import (
     discard_checkpoint,
 )
 from repro.core.context import ContextStudy
-from repro.core.parallel import (
-    parallel_study,
-    run_streaming_pipeline,
-    run_streaming_summary,
-)
+from repro.core.parallel import run_streaming_pipeline, run_streaming_summary
 from repro.core.streaming import reorder_records
 from repro.errors import (
     AnalysisError,
@@ -147,16 +143,6 @@ def _add_generation_sharding_arguments(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="generation worker processes; shards fan out over a fork pool "
         "and merge byte-identically (default 1)",
-    )
-
-
-def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="analysis worker processes; >1 shards the trace by household "
-        "and merges byte-identical results (default 1)",
     )
 
 
@@ -564,10 +550,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.follow and not args.streaming:
         print("analyze --follow requires --streaming", file=sys.stderr)
         return 2
-    if (args.checkpoint or args.resume) and not args.streaming:
-        # The batch path cannot snapshot; refusing beats silently running
-        # without the crash safety the flag asked for.
-        print("analyze --checkpoint/--resume requires --streaming", file=sys.stderr)
+    if (args.checkpoint or args.resume or args.workers != 1) and not args.streaming:
+        # The batch path runs in one process and cannot snapshot;
+        # refusing beats silently ignoring what the flag asked for.
+        print(
+            "analyze --checkpoint/--resume/--workers N requires --streaming",
+            file=sys.stderr,
+        )
         return 2
     if args.streaming:
         if not (args.dns and args.conn):
@@ -584,7 +573,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         print("analyze requires either --pcap or both --dns and --conn", file=sys.stderr)
         return 2
-    study = parallel_study(study.trace, study.options, workers=args.workers)
     _print_report(study)
     return 0
 
@@ -609,8 +597,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             print("Cache/connection pressure:")
             print(render_pressure(pressure))
         return 0
-    study = parallel_study(trace, workers=args.workers)
-    _print_report(study)
+    _print_report(ContextStudy(trace))
     if pressure is not None:
         print()
         print("Cache/connection pressure:")
@@ -732,7 +719,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --follow: stop once no new data arrives for this many "
         "seconds (default: follow until interrupted)",
     )
-    _add_workers_argument(analyze)
+    analyze.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="with --streaming: analysis worker processes; >1 shards the "
+        "logs by household and merges byte-identical results (default 1; "
+        "the batch analysis runs in one process and accepts only 1)",
+    )
     _add_streaming_arguments(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
@@ -745,7 +739,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="generation house shards (default: auto from --workers); the "
         "trace is byte-identical for every shard count",
     )
-    _add_workers_argument(report)
+    report.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="generation worker processes (house shards fan out over fork "
+        "workers); with --streaming, also the analysis workers; the batch "
+        "analysis runs in one process (default 1)",
+    )
     _add_streaming_arguments(report)
     report.set_defaults(func=cmd_report)
 

@@ -10,10 +10,8 @@ first user of their lookup vs 21% beyond) and then adopts a
 conservative 100 ms threshold for the rest of the analysis.
 
 :class:`GapAnalysis` carries the raw first-use counters alongside the
-derived fractions so per-shard analyses merge exactly
-(:meth:`GapAnalysis.merge`): fractions are recomputed from summed
-counters and the knee is recomputed over the merged gap sample, making
-the merged object byte-identical to a whole-trace analysis.
+derived fractions, so the streaming engine can build the identical
+object from its online counters and buffered gap sample.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ class GapAnalysis:
     mass still anchors the knee (see
     :func:`repro.core.stats.find_knee_detailed`). The ``*_hits`` /
     ``*_total`` integers are the raw counters behind the two first-use
-    fractions; :meth:`merge` sums them across shards.
+    fractions.
     """
 
     cdf: Cdf
@@ -63,58 +61,18 @@ class GapAnalysis:
         """The Figure 1 CDF as (gap seconds, cumulative fraction)."""
         return self.cdf.series(points)
 
-    @classmethod
-    def merge(
-        cls, parts: Sequence["GapAnalysis"], knee_reference: float = KNEE_REFERENCE
-    ) -> "GapAnalysis":
-        """Combine per-shard gap analyses into the whole-trace analysis.
-
-        The merged object equals :func:`analyze_gaps` over the pooled
-        paired connections: the CDF is the merged gap sample, the knee
-        is re-found on it, and the first-use fractions are recomputed
-        from the summed counters. All parts must share a blocking
-        threshold.
-        """
-        if not parts:
-            raise AnalysisError("cannot merge an empty collection of gap analyses")
-        thresholds = {part.blocking_threshold for part in parts}
-        if len(thresholds) > 1:
-            raise AnalysisError(f"cannot merge gap analyses with mixed thresholds: {thresholds}")
-        cdf = Cdf.merge([part.cdf for part in parts])
-        knee, excluded = _find_gap_knee(cdf.xs, knee_reference)
-        below_hits = sum(part.first_use_below_hits for part in parts)
-        below_total = sum(part.first_use_below_total for part in parts)
-        above_hits = sum(part.first_use_above_hits for part in parts)
-        above_total = sum(part.first_use_above_total for part in parts)
-        return cls(
-            cdf=cdf,
-            knee=knee,
-            first_use_below_knee=below_hits / below_total if below_total else 0.0,
-            first_use_above_knee=above_hits / above_total if above_total else 0.0,
-            blocking_threshold=thresholds.pop(),
-            knee_excluded_samples=excluded,
-            first_use_below_hits=below_hits,
-            first_use_below_total=below_total,
-            first_use_above_hits=above_hits,
-            first_use_above_total=above_total,
-        )
-
 
 def find_gap_knee(gaps: Sequence[float], knee_reference: float = KNEE_REFERENCE) -> tuple[float, int]:
     """The gap-CDF knee and excluded-sample count, falling back to the
     paper's 20 ms reference when the sample defeats the knee finder.
 
-    Shared by the batch analysis, the shard merge, and the streaming
-    engine's finalize step so all three agree bit-for-bit."""
+    Shared by the per-connection analysis and the streaming engine's
+    finalize step so both agree bit-for-bit."""
     try:
         result = find_knee_detailed(gaps, log_x=True)
     except AnalysisError:
         return knee_reference, 0
     return result.knee, result.excluded_samples
-
-
-# Historical private alias (pre-streaming callers).
-_find_gap_knee = find_gap_knee
 
 
 def analyze_gaps(
@@ -142,7 +100,7 @@ def analyze_gaps(
     if not gaps:
         raise AnalysisError("no paired connections: cannot analyse gaps")
     cdf = Cdf.from_values(gaps)
-    knee, excluded = _find_gap_knee(gaps, knee_reference)
+    knee, excluded = find_gap_knee(gaps, knee_reference)
     return GapAnalysis(
         cdf=cdf,
         knee=knee,

@@ -74,10 +74,9 @@ class ThresholdPolicy:
 class ResolverDurationStats:
     """Per-resolver lookup-duration aggregate (count + fastest lookup).
 
-    These numbers are all threshold derivation needs, and all merge
-    exactly (sum / min), so per-shard collections combine into the
-    whole-trace statistics — the basis of the parallel pipeline's
-    two-phase threshold computation. ``lookups`` counts *answered*
+    These numbers are all threshold derivation needs, and both fold
+    exactly (sum / min) — :class:`ResolverObserver` keeps them online
+    and merges household shards. ``lookups`` counts *answered*
     transactions only: failed ones (timeout / SERVFAIL) carry the
     client's give-up time, not the resolver's RTT, so letting them into
     the minimum (or the min-lookups gate) would corrupt the SC/R
@@ -88,29 +87,21 @@ class ResolverDurationStats:
     min_rtt_s: float
     failed_lookups: int = 0
 
-    def merged_with(self, other: "ResolverDurationStats") -> "ResolverDurationStats":
-        """The aggregate over both samples."""
-        return ResolverDurationStats(
-            lookups=self.lookups + other.lookups,
-            min_rtt_s=min(self.min_rtt_s, other.min_rtt_s),
-            failed_lookups=self.failed_lookups + other.failed_lookups,
-        )
-
 
 class ResolverObserver:
     """One-pass per-resolver duration *and* outcome aggregation.
 
     The incremental form of :func:`collect_resolver_stats` and
     :func:`collect_failure_stats`: feed it DNS records one at a time
-    (:meth:`observe`) and read either aggregate at any point. The batch
-    collectors are thin wrappers over this class, so both paths share
-    one implementation and agree exactly — including dict insertion
-    order (first-appearance order of each resolver address).
+    (:meth:`observe`) and read either aggregate at any point. The
+    per-connection collectors are thin wrappers over this class, so both
+    engines share one implementation and agree exactly — including dict
+    insertion order (first-appearance order of each resolver address).
 
     The streaming engine additionally uses :meth:`threshold_for` to get
     a *running* SC/R threshold mid-stream (sketch mode classifies
-    online); the batch path only ever reads thresholds after the full
-    pass, where the running value equals the final one by construction.
+    online); exact mode only reads thresholds after the full pass,
+    where the running value equals the final one by construction.
     """
 
     __slots__ = (
@@ -221,18 +212,6 @@ def collect_resolver_stats(dns_records: list[DnsRecord]) -> dict[str, ResolverDu
     return observer.duration_stats()
 
 
-def merge_resolver_stats(
-    parts: list[dict[str, ResolverDurationStats]],
-) -> dict[str, ResolverDurationStats]:
-    """Combine per-shard resolver aggregates into whole-trace aggregates."""
-    merged: dict[str, ResolverDurationStats] = {}
-    for part in parts:
-        for resolver, stats in part.items():
-            existing = merged.get(resolver)
-            merged[resolver] = stats if existing is None else existing.merged_with(stats)
-    return merged
-
-
 def thresholds_from_stats(
     stats: dict[str, ResolverDurationStats],
     policy: ThresholdPolicy | None = None,
@@ -262,10 +241,11 @@ def resolver_thresholds(
 class ResolverFailureStats:
     """Per-resolver transaction-outcome tally.
 
-    Plain counters, so per-shard tallies merge by addition into exactly
-    the whole-trace tally. ``nxdomains`` is reported alongside the
-    failures but does not count toward :attr:`failure_rate` — a negative
-    answer is a successful transaction.
+    Plain counters, tallied by :class:`ResolverObserver` (whose
+    :meth:`~ResolverObserver.merge_from` adds household shards).
+    ``nxdomains`` is reported alongside the failures but does not count
+    toward :attr:`failure_rate` — a negative answer is a successful
+    transaction.
     """
 
     queries: int = 0
@@ -286,16 +266,6 @@ class ResolverFailureStats:
             return 0.0
         return self.failures / self.queries
 
-    def merged_with(self, other: "ResolverFailureStats") -> "ResolverFailureStats":
-        """The tally over both samples."""
-        return ResolverFailureStats(
-            queries=self.queries + other.queries,
-            servfails=self.servfails + other.servfails,
-            timeouts=self.timeouts + other.timeouts,
-            nxdomains=self.nxdomains + other.nxdomains,
-            refused=self.refused + other.refused,
-        )
-
 
 def collect_failure_stats(dns_records: list[DnsRecord]) -> dict[str, ResolverFailureStats]:
     """Per-resolver-address outcome tallies for *dns_records*."""
@@ -303,18 +273,6 @@ def collect_failure_stats(dns_records: list[DnsRecord]) -> dict[str, ResolverFai
     for record in dns_records:
         observer.observe(record)
     return observer.failure_stats()
-
-
-def merge_failure_stats(
-    parts: list[dict[str, ResolverFailureStats]],
-) -> dict[str, ResolverFailureStats]:
-    """Combine per-shard outcome tallies into whole-trace tallies."""
-    merged: dict[str, ResolverFailureStats] = {}
-    for part in parts:
-        for resolver, stats in part.items():
-            existing = merged.get(resolver)
-            merged[resolver] = stats if existing is None else existing.merged_with(stats)
-    return merged
 
 
 @dataclass(frozen=True, slots=True)
@@ -388,23 +346,16 @@ class ClassifierConfig:
 class Classifier:
     """Applies the N/LC/P/SC/R taxonomy to paired connections.
 
-    Thresholds are normally derived from *dns_records*; passing
-    *thresholds* instead injects precomputed (e.g. shard-merged) values
-    and skips the derivation — the parallel pipeline computes thresholds
-    once globally and hands them to every worker.
+    The per-resolver SC/R thresholds are derived from *dns_records*.
     """
 
     def __init__(
         self,
         dns_records: list[DnsRecord],
         config: ClassifierConfig | None = None,
-        thresholds: dict[str, float] | None = None,
     ) -> None:
         self.config = config if config is not None else ClassifierConfig()
-        if thresholds is not None:
-            self.thresholds = dict(thresholds)
-        else:
-            self.thresholds = resolver_thresholds(dns_records, self.config.threshold_policy)
+        self.thresholds = resolver_thresholds(dns_records, self.config.threshold_policy)
 
     def threshold_for(self, resolver_address: str) -> float:
         """The SC/R duration threshold for one resolver address."""
@@ -439,22 +390,9 @@ class Classifier:
 
 @dataclass(frozen=True, slots=True)
 class ClassBreakdown:
-    """Table 2: connection counts and shares per class.
-
-    Counts merge by addition, so per-shard breakdowns combine into the
-    whole-trace breakdown (:meth:`merge`).
-    """
+    """Table 2: connection counts and shares per class."""
 
     counts: dict[ConnClass, int]
-
-    @classmethod
-    def merge(cls, parts: "list[ClassBreakdown]") -> "ClassBreakdown":
-        """Sum per-shard class counts into one breakdown."""
-        counts: dict[ConnClass, int] = {}
-        for part in parts:
-            for conn_class, count in part.counts.items():
-                counts[conn_class] = counts.get(conn_class, 0) + count
-        return cls(counts=counts)
 
     @property
     def total(self) -> int:

@@ -77,6 +77,7 @@ from repro.monitor.capture import Trace
 if TYPE_CHECKING:
     from repro.core.population import PopulationStats
     from repro.core.stats import Cdf
+    from repro.core.streaming import PipelineResult
     from repro.monitor.logs import IngestReport
     from repro.monitor.records import ConnRecord, DnsRecord
     from repro.workload.scenario import ScenarioConfig
@@ -298,6 +299,28 @@ class ContextStudy:
     def significance_quadrant(self, abs_threshold: float = 0.020, rel_threshold: float = 1.0) -> SignificanceQuadrant:
         """§6: the significance quadrant."""
         return significance_quadrant(self.classified, abs_threshold, rel_threshold)
+
+    def pipeline_result(self) -> PipelineResult:
+        """§4–§6 in one :class:`~repro.core.streaming.PipelineResult`.
+
+        Built from the cached per-connection stages, this is the
+        reference the streaming engine is held to: ``run_pipeline(trace,
+        options)`` equals ``ContextStudy(trace, options).pipeline_result()``.
+        Figure 1's blocked share is read at the classifier's blocking
+        threshold, the one Table 2 classifies with.
+        """
+        from repro.core.streaming import PipelineResult
+
+        return PipelineResult(
+            census=self.pairing_census(),
+            breakdown=self.breakdown,
+            gap_analysis=self.gap_analysis(self.options.classifier.blocking_threshold),
+            lookup_delays=self.lookup_delays(),
+            contribution=self.contribution(),
+            quadrant=self.significance_quadrant(),
+            thresholds=self.classifier.thresholds,
+            failure_stats=self.failure_stats(),
+        )
 
     # -- §7 -------------------------------------------------------------------
 

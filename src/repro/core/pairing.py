@@ -14,9 +14,9 @@ recent one (§4), exposed through :data:`PairingPolicy`.
 Pairing is strictly per-household: a connection only ever consults DNS
 lookups made by its own house, and the random policy draws from a
 per-house seeded stream (:func:`repro.simulation.random.derive_seed`).
-Both properties make the stage shardable by household — the parallel
-pipeline (:mod:`repro.core.parallel`) produces byte-identical pairings
-for any worker count.
+Both properties make the stage shardable by household — the sharded
+streaming pipeline (:mod:`repro.core.parallel`) produces byte-identical
+pairings for any worker count.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class DnsIndex:
     Two construction modes share one insertion path:
 
     * **Batch** — pass *dns_records* and the index holds the full
-      history, exactly as the batch pipeline expects.
+      history, exactly as :meth:`Pairer.pair_all` expects.
     * **Incremental** — construct empty and :meth:`offer` records in
       nondecreasing ``completed_at`` order; :meth:`drain_expired` then
       evicts TTL-expired candidates as stream time advances, keeping
@@ -353,7 +353,7 @@ class Pairer:
 
     The random policy draws from per-house streams derived from *seed*,
     so a house's pairings do not depend on which other houses share the
-    trace (the shard-invariance contract of the parallel pipeline). An
+    trace (the shard-invariance contract of household sharding). An
     explicitly supplied *rng* instead shares one stream across all
     houses in chronological order — kept for ablations that want the
     legacy behaviour, but not shard-invariant.
@@ -482,10 +482,10 @@ def pair_trace(
 
 @dataclass(frozen=True, slots=True)
 class PairingCensus:
-    """Mergeable §4 pairing counts.
+    """§4 pairing counts.
 
-    All fields are plain counters, so per-shard censuses merge by
-    addition into exactly the census of the whole trace.
+    All fields are plain counters, which the streaming engine keeps
+    online and :meth:`from_paired` counts from paired connections.
     ``unique_viable`` counts paired connections with at most one
     non-expired candidate — the paper's "82% have exactly one viable
     candidate" statistic — and deliberately excludes expired candidates
@@ -500,7 +500,7 @@ class PairingCensus:
 
     @classmethod
     def from_paired(cls, paired: Sequence[PairedConnection]) -> "PairingCensus":
-        """Count one shard's (or the whole trace's) pairing outcomes."""
+        """Count the pairing outcomes of *paired*."""
         with_pair = [item for item in paired if item.paired]
         return cls(
             conns=len(paired),
@@ -508,19 +508,6 @@ class PairingCensus:
             unique_viable=sum(1 for item in with_pair if item.candidates <= 1),
             expired_pairings=sum(1 for item in with_pair if item.expired_pairing),
             expired_candidates=sum(item.expired_candidates for item in with_pair),
-        )
-
-    @classmethod
-    def merge(cls, parts: Sequence["PairingCensus"]) -> "PairingCensus":
-        """Combine per-shard censuses into the whole-trace census."""
-        if not parts:
-            raise AnalysisError("cannot merge an empty collection of pairing censuses")
-        return cls(
-            conns=sum(part.conns for part in parts),
-            paired=sum(part.paired for part in parts),
-            unique_viable=sum(part.unique_viable for part in parts),
-            expired_pairings=sum(part.expired_pairings for part in parts),
-            expired_candidates=sum(part.expired_candidates for part in parts),
         )
 
     @property

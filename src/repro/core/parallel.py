@@ -1,38 +1,32 @@
-"""Sharded parallel analysis pipeline: the paper's analyses at scale.
+"""Household sharding and the fork fan-out behind the §4–§6 entry points.
 
-The paper's §4–§6 analyses are embarrassingly parallel across
-households: pairing consults only same-house lookups, classification is
-per-connection once the per-resolver SC/R thresholds are known, and the
-performance aggregates are all counts, multisets, and order-invariant
-statistics. This module exploits that structure:
+The paper's §4–§6 analyses run on one engine, the one-pass streaming
+analyzer (:mod:`repro.core.streaming`). This module holds its entry
+points and the process fan-out they share with scenario sweeps and
+sharded trace generation:
 
-1. **Shard** the trace by household (round-robin over the sorted house
-   addresses), preserving each connection's position in the global
-   chronological order.
-2. **Phase one** derives the per-resolver SC/R thresholds from
-   per-shard :class:`~repro.core.classify.ResolverDurationStats`
-   aggregates merged across shards — thresholds are a whole-trace
-   property and must be fixed before any shard classifies.
-3. **Phase two** fans pairing → classification → performance analysis
-   out over a :mod:`multiprocessing` pool, one task per shard.
-4. **Merge** the per-shard partial results with the merge constructors
-   on the statistics classes (:meth:`Cdf.merge`,
-   :meth:`GapAnalysis.merge`, :meth:`ClassBreakdown.merge`,
-   :meth:`LookupDelayAnalysis.merge`, :meth:`ContributionAnalysis.merge`,
-   :meth:`SignificanceQuadrant.merge`, :meth:`PairingCensus.merge`)
-   into the exact objects the serial path produces.
+* :func:`run_streaming_pipeline` and :func:`run_streaming_summary`
+  one-pass record iterables (exact statistics / quantile sketches);
+  :func:`run_pipeline` is the in-memory entry: the exact pass over a
+  ``ts``-sorted copy of a :class:`~repro.monitor.capture.Trace`.
+* With ``workers>1`` the logs are split by household
+  (:func:`shard_by_household`) — pairing only consults same-house
+  lookups — and each shard streams in its own process;
+  :meth:`~repro.core.streaming.StreamingState.merge` combines the shard
+  states into exactly the single-stream state.
+* :func:`run_scenarios` is the one fan-out: fork-started processes
+  under :func:`repro.supervise.supervise` (heartbeats, bounded
+  restarts, a serial retry in the parent). Fork is the only parallel
+  start method; without it, as on a 1-CPU host, the fan-out runs its
+  serial loop.
 
-**Determinism contract**: results are byte-identical to the serial path
-for any worker/shard count. Every merged statistic is either an integer
-count (merged by addition), a sorted multiset (merged by k-way merge),
-or recomputed from one of those; the random pairing policy draws from
-per-house seeded streams (``derive_seed(seed, "pairing") -> house``), so
-no draw depends on which shard — or which other households — a house is
-processed with. Workers never read the wall clock or global RNG state.
-
-On platforms with ``fork`` the shard tasks are inherited by the workers
-through copy-on-write memory instead of being pickled, so the dominant
-IPC cost is only the (small) partial results coming back.
+**Determinism contract**: results are byte-identical for any worker
+count. Every merged statistic is an integer count, an order-invariant
+statistic over a concatenated sample, or derived from one of those; the
+random pairing policy draws from per-house seeded streams
+(``derive_seed(seed, "pairing") -> house``), so no draw depends on which
+shard — or which other households — a house is processed with. Workers
+never read the wall clock or global RNG state.
 """
 
 from __future__ import annotations
@@ -40,44 +34,21 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
-import pickle
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, TypeVar
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable, Iterable, Sequence
 
-from repro.core.blocking import DEFAULT_BLOCKING_THRESHOLD, GapAnalysis, analyze_gaps
-from repro.core.classify import (
-    ClassBreakdown,
-    ClassifiedConnection,
-    Classifier,
-    ResolverFailureStats,
-    class_breakdown,
-    collect_failure_stats,
-    collect_resolver_stats,
-    merge_failure_stats,
-    merge_resolver_stats,
-    thresholds_from_stats,
-)
-from repro.core.context import ContextStudy, StudyOptions
-from repro.core.pairing import PairedConnection, Pairer, PairingCensus
-from repro.core.performance import (
-    ABS_INSIGNIFICANT,
-    REL_INSIGNIFICANT,
-    ContributionAnalysis,
-    LookupDelayAnalysis,
-    SignificanceQuadrant,
-    contribution_analysis,
-    lookup_delay_analysis,
-    significance_quadrant,
-)
 from repro.core.checkpoint import (
     CheckpointConfig,
     CheckpointTelemetry,
     run_checkpointed_stream,
 )
+from repro.core.context import StudyOptions
 from repro.core.streaming import (
     DEFAULT_DRAIN_INTERVAL_S,
     DEFAULT_SKETCH_EPSILON,
+    PipelineResult,
     StreamingConfig,
     StreamingState,
     StreamingSummary,
@@ -88,18 +59,18 @@ from repro.core.streaming import (
 from repro.errors import AnalysisError
 from repro.monitor.capture import Trace
 from repro.monitor.records import ConnRecord, DnsRecord
-from repro.supervise import SupervisionReport, SupervisorPolicy, supervise
+from repro.supervise import supervise
 
 DEFAULT_SHARDS_PER_WORKER = 4
 """Shards per worker: small enough to amortise task overhead, large
-enough that one slow household cannot stall the pool tail."""
+enough that one slow household cannot stall the fan-out's tail."""
 
 
 def _available_cpus() -> int:
     """CPUs this process may actually run on (affinity-aware, >= 1).
 
     A module-level seam on purpose: tests on constrained hosts
-    monkeypatch it to exercise the pool paths, and the clamp in
+    monkeypatch it to exercise the fork paths, and the clamp in
     :func:`run_scenarios` reads it so a 1-CPU container degrades to the
     serial path instead of paying fork-and-pickle overhead for a
     slower-than-serial "parallel" run.
@@ -117,7 +88,7 @@ def effective_worker_count(workers: int, jobs: int | None = None) -> int:
     CPU-bound scenario generation) and, when *jobs* is given, to the
     number of jobs (idle workers would only cost fork time). Benchmarks
     record this next to the requested count so a recorded "speedup" is
-    attributed to the pool that actually ran.
+    attributed to the fan-out that actually ran.
     """
     if workers < 1:
         raise AnalysisError(f"worker count must be positive, got {workers}")
@@ -217,99 +188,16 @@ def merge_pressure_stats(parts: Sequence[PressureStats]) -> PressureStats:
     return merged
 
 
-@dataclass(frozen=True, slots=True)
-class ShardTask:
-    """Everything one worker needs to analyse one household shard.
-
-    ``conn_indices[i]`` is the position of ``conns[i]`` in the global
-    chronological order, letting the parent scatter per-connection
-    results back into exactly the serial output order.
-    """
-
-    shard_id: int
-    dns_records: tuple[DnsRecord, ...]
-    conns: tuple[ConnRecord, ...]
-    conn_indices: tuple[int, ...]
-    thresholds: dict[str, float]
-    options: StudyOptions
-    blocking_threshold: float
-    abs_threshold: float
-    rel_threshold: float
-    collect_connections: bool
-
-
-@dataclass(frozen=True, slots=True)
-class ShardResult:
-    """One shard's partial analyses, ready to merge.
-
-    The per-population analyses are None when the shard lacks that
-    population (e.g. no blocked connections); the merge step skips
-    Nones and raises only when *every* shard lacked the population —
-    mirroring the serial error behaviour.
-    """
-
-    shard_id: int
-    census: PairingCensus
-    breakdown: ClassBreakdown
-    gaps: GapAnalysis | None
-    delays: LookupDelayAnalysis | None
-    contribution: ContributionAnalysis | None
-    quadrant: SignificanceQuadrant | None
-    indexed_classified: tuple[tuple[int, ClassifiedConnection], ...] | None
-    failure_stats: dict[str, ResolverFailureStats] = field(default_factory=dict)
-
-
-@dataclass(frozen=True, slots=True)
-class PipelineResult:
-    """The merged output of one pipeline run.
-
-    Analysis fields compare by value, so two runs over the same trace
-    and options are ``==`` regardless of worker count — the golden
-    equality the parallel tests pin. ``workers``/``shards`` are
-    execution metadata and excluded from comparison, as is
-    ``recovered_shards`` — which shard needed a serial retry is
-    provenance about the *run*, not the analysis: a recovered run's
-    statistics still compare equal to an undisturbed one.
-    """
-
-    census: PairingCensus
-    breakdown: ClassBreakdown
-    gap_analysis: GapAnalysis
-    lookup_delays: LookupDelayAnalysis
-    contribution: ContributionAnalysis
-    quadrant: SignificanceQuadrant
-    thresholds: dict[str, float]
-    failure_stats: dict[str, ResolverFailureStats] = field(default_factory=dict)
-    classified: tuple[ClassifiedConnection, ...] | None = None
-    workers: int = field(default=1, compare=False)
-    shards: int = field(default=1, compare=False)
-    recovered_shards: tuple[int, ...] = field(default=(), compare=False)
-    supervision: SupervisionReport | None = field(default=None, compare=False)
-
-    @property
-    def partial_recovery(self) -> bool:
-        """Did any worker shard crash and get retried serially?"""
-        return bool(self.recovered_shards)
-
-    @property
-    def paired(self) -> tuple[PairedConnection, ...] | None:
-        """The pairings behind ``classified`` (None unless collected)."""
-        if self.classified is None:
-            return None
-        return tuple(item.pairing for item in self.classified)
-
-
 def shard_by_household(
     dns_records: Sequence[DnsRecord],
     conns: Sequence[ConnRecord],
     shards: int,
-) -> list[tuple[list[DnsRecord], list[ConnRecord], list[int]]]:
+) -> list[tuple[list[DnsRecord], list[ConnRecord]]]:
     """Partition a trace into *shards* household-disjoint sub-traces.
 
     Houses are assigned round-robin over the sorted house addresses, so
-    the partition is deterministic. Connections keep their global
-    chronological order (and its index) within each shard; DNS records
-    follow their originating house.
+    the partition is deterministic. Both logs keep their input order
+    within each shard, so ``ts``-ordered logs give ``ts``-ordered shards.
     """
     if shards < 1:
         raise AnalysisError(f"shard count must be positive, got {shards}")
@@ -317,193 +205,20 @@ def shard_by_household(
         {record.orig_h for record in dns_records} | {conn.orig_h for conn in conns}
     )
     assignment = {house: index % shards for index, house in enumerate(houses)}
-    parts: list[tuple[list[DnsRecord], list[ConnRecord], list[int]]] = [
-        ([], [], []) for _ in range(shards)
+    parts: list[tuple[list[DnsRecord], list[ConnRecord]]] = [
+        ([], []) for _ in range(shards)
     ]
     for record in dns_records:
         parts[assignment[record.orig_h]][0].append(record)
-    ordered = sorted(conns, key=lambda conn: conn.ts)
-    for index, conn in enumerate(ordered):
-        dns_part, conn_part, index_part = parts[assignment[conn.orig_h]]
-        conn_part.append(conn)
-        index_part.append(index)
+    for conn in conns:
+        parts[assignment[conn.orig_h]][1].append(conn)
     return parts
 
 
-def analyze_shard(task: ShardTask) -> ShardResult:
-    """Run pairing → classification → performance analysis on one shard.
-
-    This is byte-for-byte the serial pipeline restricted to the shard's
-    households: the same :class:`Pairer`, the same :class:`Classifier`
-    (with the globally merged thresholds injected), and the same
-    aggregate functions.
-    """
-    pairer = Pairer(
-        list(task.dns_records),
-        policy=task.options.pairing_policy,
-        seed=task.options.pairing_seed,
-    )
-    paired = pairer.pair_all(list(task.conns))
-    classifier = Classifier([], config=task.options.classifier, thresholds=task.thresholds)
-    classified = classifier.classify_all(paired)
-    indexed: tuple[tuple[int, ClassifiedConnection], ...] | None = None
-    if task.collect_connections:
-        indexed = tuple(zip(task.conn_indices, classified))
-    return ShardResult(
-        shard_id=task.shard_id,
-        census=PairingCensus.from_paired(paired),
-        breakdown=class_breakdown(classified),
-        gaps=_try_analysis(lambda: analyze_gaps(paired, blocking_threshold=task.blocking_threshold)),
-        delays=_try_analysis(lambda: lookup_delay_analysis(classified)),
-        contribution=_try_analysis(lambda: contribution_analysis(classified)),
-        quadrant=_try_analysis(
-            lambda: significance_quadrant(classified, task.abs_threshold, task.rel_threshold)
-        ),
-        indexed_classified=indexed,
-        failure_stats=collect_failure_stats(list(task.dns_records)),
-    )
-
-
-_T = TypeVar("_T")
-
-
-def _try_analysis(compute: Callable[[], _T]) -> _T | None:
-    """Run one aggregate, mapping empty-population errors to None."""
-    try:
-        return compute()
-    except AnalysisError:
-        return None
-
-
-def _merge_present(
-    parts: Sequence[_T | None], merge: Callable[[list[_T]], _T], empty_message: str
-) -> _T:
-    """Merge the non-None partials, raising like the serial path if none."""
-    present = [part for part in parts if part is not None]
-    if not present:
-        raise AnalysisError(empty_message)
-    return merge(present)
-
-
-class ShardCrashError(RuntimeError):
-    """A deliberately injected worker-shard crash (testing only)."""
-
-
-#: Shard ids whose *pool* execution raises, exercising the serial-retry
-#: recovery path. Set via monkeypatch in tests; the serial retry calls
-#: :func:`analyze_shard` directly and therefore bypasses this hook.
-_CRASH_SHARDS_FOR_TESTING: frozenset[int] = frozenset()
-
-#: Exception types treated as a worker failure worth a serial retry.
-#: Anything else (e.g. :class:`AnalysisError` from bad inputs) would
-#: fail identically in the parent and is allowed to propagate.
-_WORKER_FAILURES = (
-    OSError,
-    RuntimeError,
-    MemoryError,
-    multiprocessing.ProcessError,
-    pickle.PickleError,
-)
-
-
-def _maybe_crash(shard_id: int) -> None:
-    if shard_id in _CRASH_SHARDS_FOR_TESTING:
-        raise ShardCrashError(f"injected crash for shard {shard_id}")
-
-
-def _supervised_shard(task: ShardTask) -> ShardResult:
-    """Supervised worker entry: the crash hook, then the real analysis.
-
-    The parent's final serial retry calls :func:`analyze_shard` directly
-    and therefore bypasses the test-only crash injection — exactly the
-    asymmetry the recovery tests rely on.
-    """
-    _maybe_crash(task.shard_id)
-    return analyze_shard(task)
-
-
-def _analyze_shard_task(task: ShardTask) -> ShardResult:
-    """Pickling-mode worker entry (non-fork start methods)."""
-    _maybe_crash(task.shard_id)
-    return analyze_shard(task)
-
-
-def _disable_worker_gc() -> None:
-    """Pool initializer: workers are short-lived, cyclic GC only costs.
-
-    With GC left on, every collection in a forked child walks the
-    inherited heap (the whole trace), un-sharing its copy-on-write pages
-    — measurably slower than the analysis itself on large traces.
-    """
-    gc.disable()
-
-
-def _collect_with_recovery(
-    pending: "list[multiprocessing.pool.AsyncResult]",
-    tasks: list[ShardTask],
-) -> tuple[list[ShardResult], tuple[int, ...]]:
-    """Gather per-shard results, retrying crashed shards serially.
-
-    A shard whose worker raised is re-run in the parent with
-    :func:`analyze_shard` — the exact code path a ``workers=1`` run
-    takes — so the merged output stays byte-identical to the serial
-    pipeline; the retried shard ids are reported as provenance.
-    """
-    results: list[ShardResult] = []
-    recovered: list[int] = []
-    for index, handle in enumerate(pending):
-        try:
-            results.append(handle.get())
-        except _WORKER_FAILURES:
-            results.append(analyze_shard(tasks[index]))
-            recovered.append(tasks[index].shard_id)
-    return results, tuple(recovered)
-
-
-def _run_tasks(
-    tasks: list[ShardTask], workers: int, supervisor: SupervisorPolicy | None = None
-) -> tuple[list[ShardResult], tuple[int, ...], SupervisionReport | None]:
-    """Execute shard tasks over supervised workers (fork-aware).
-
-    Under ``fork`` each shard runs in a supervised process
-    (:func:`repro.supervise.supervise`): tasks are inherited through
-    copy-on-write memory instead of being pickled, the parent heap is
-    frozen out of GC for the fan-out's lifetime so the children's
-    copy-on-write pages stay shared, and the supervisor adds heartbeats,
-    deadlines, and bounded restarts on top of the serial-retry recovery.
-    Other start methods fall back to pickling the tasks over a plain
-    pool. Either way, a shard whose worker dies is recovered by a serial
-    retry in the parent; the returned tuple lists the recovered shard
-    ids, plus the supervision report where one exists.
-    """
-    start_methods = multiprocessing.get_all_start_methods()
-    if "fork" in start_methods:
-        try:
-            gc.freeze()
-            results, report = supervise(
-                tasks,
-                _supervised_shard,
-                workers,
-                policy=supervisor,
-                parent_run=analyze_shard,
-                label="shard",
-            )
-        finally:
-            gc.unfreeze()
-        recovered = tuple(tasks[index].shard_id for index in report.recovered_indices)
-        return results, recovered, report
-    with multiprocessing.get_context().Pool(
-        processes=workers, initializer=_disable_worker_gc
-    ) as pool:
-        pending = [pool.apply_async(_analyze_shard_task, (task,)) for task in tasks]
-        results, recovered = _collect_with_recovery(pending, tasks)
-        return results, recovered, None
-
-
 #: Scenario fan-out state: ``(task callable, config list)`` of the one
-#: fan-out this process is running. Under fork the supervisor hands
-#: tasks to children directly (copy-on-write, no lookup needed); this
-#: slot remains as the process-wide *guard* against nested or concurrent
+#: fan-out this process is running. The supervisor hands tasks to
+#: children directly (copy-on-write, no lookup needed); this slot is
+#: the process-wide *guard* against nested or concurrent
 #: multi-worker sweeps, which would interleave two supervisors over the
 #: same CPU budget and deadlock a 1-slot host.
 _SCENARIO_FANOUT: tuple[Callable, list] | None = None  # repro-lint: fork-shared(set in the parent before fork, read-only in workers, cleared in run_scenarios' finally; the not-None guard rejects nested fan-out)
@@ -512,7 +227,7 @@ _SCENARIO_FANOUT: tuple[Callable, list] | None = None  # repro-lint: fork-shared
 def in_scenario_fanout() -> bool:
     """Is this process currently inside a :func:`run_scenarios` fan-out?
 
-    True both in the parent while its pool is live and in a forked
+    True both in the parent while its fan-out is live and in a forked
     worker (which inherits the parent's slot). Nested callers — e.g.
     sharded trace generation invoked from a sweep task — use this to
     degrade to their serial path instead of tripping the nesting guard.
@@ -520,62 +235,32 @@ def in_scenario_fanout() -> bool:
     return _SCENARIO_FANOUT is not None
 
 
-def _run_scenario_call(task: Callable, config):
-    """Pickling-mode worker entry (non-fork start methods)."""
-    return task(config)
+def run_scenarios(configs: Sequence, task: Callable, workers: int = 1) -> list:
+    """Map *task* over *configs* in fork-started workers, results in config order.
 
-
-def _collect_scenarios(
-    pending: "list[multiprocessing.pool.AsyncResult]",
-    configs: list,
-    task: Callable,
-) -> list:
-    """Gather per-scenario results in config order, retrying crashes serially.
-
-    Mirrors :func:`_collect_with_recovery`: a scenario whose worker died
-    is re-run in the parent with the same callable — the exact code path
-    a ``workers=1`` run takes — so recovery cannot change the results.
-    """
-    results = []
-    for index, handle in enumerate(pending):
-        try:
-            results.append(handle.get())
-        except _WORKER_FAILURES:
-            results.append(task(configs[index]))
-    return results
-
-
-def run_scenarios(
-    configs: Sequence,
-    task: Callable,
-    workers: int = 1,
-    supervisor: SupervisorPolicy | None = None,
-) -> list:
-    """Map *task* over *configs* on a process pool, results in config order.
-
-    The multi-scenario analogue of :func:`run_pipeline`'s sharding:
-    sweeps and calibration runs execute many independent scenarios, and
-    each scenario's generation is a pure function of its config (every
-    random draw comes from streams derived from ``config.seed``; the
-    library never reads the wall clock), so fanning the scenarios out
-    over processes is trivially byte-identical to the serial loop —
+    Sweeps, calibration runs, generation shards and streaming shards
+    all fan out here. Each call of *task* is a pure function of its
+    config (every random draw comes from streams derived from a seed;
+    the library never reads the wall clock), so fanning the configs out
+    over processes is byte-identical to the serial loop —
     ``run_scenarios(configs, task, workers=n) == [task(c) for c in
     configs]`` for every ``n``.
 
     ``task`` receives one element of *configs* and must return a
     picklable value; keep returns small (summaries, digests) — a full
     week-scale :class:`~repro.monitor.capture.Trace` round-trips through
-    pickle and erodes the speedup. Under ``fork`` the configs and the
-    callable are inherited through copy-on-write memory (closures work);
-    other start methods pickle both, so there ``task`` must be a
-    module-level callable. A scenario whose worker dies is recovered by
-    a serial retry in the parent.
+    pickle and erodes the speedup. The configs and the callable reach
+    the workers through copy-on-write memory, so closures work. Each
+    worker runs under :func:`repro.supervise.supervise`: a scenario
+    whose worker dies is restarted, then retried serially in the parent.
 
-    Requested workers are clamped to the CPUs actually available to the
-    process (one line on stderr records the reduction): oversubscribing
-    a smaller host makes the "parallel" sweep slower than the serial
-    loop, and on a 1-CPU host the clamp degrades all the way to the
-    serial path — with byte-identical results either way.
+    Fork is the only parallel start method: without it the fan-out runs
+    the serial loop. Requested workers are also clamped to the CPUs
+    actually available to the process (one line on stderr records the
+    reduction): oversubscribing a smaller host makes the "parallel"
+    sweep slower than the serial loop, and on a 1-CPU host the clamp
+    degrades all the way to the serial loop — with byte-identical
+    results either way.
     """
     configs = list(configs)
     if workers < 1:
@@ -588,216 +273,38 @@ def run_scenarios(
             file=sys.stderr,
         )
         workers = cpu_limit
-    if workers == 1 or len(configs) <= 1:
+    if (
+        workers == 1
+        or len(configs) <= 1
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
         return [task(config) for config in configs]
     global _SCENARIO_FANOUT
-    processes = min(workers, len(configs))
-    if "fork" in multiprocessing.get_all_start_methods():
-        if _SCENARIO_FANOUT is not None:
-            # The fan-out state is a process-wide single slot; a task that
-            # itself calls run_scenarios (or a second thread fanning out
-            # concurrently) would overwrite it and dispatch the wrong
-            # scenarios. Fail loudly instead of corrupting results.
-            raise AnalysisError(
-                "run_scenarios() is already fanning out in this process; "
-                "nested or concurrent multi-worker sweeps are not supported "
-                "(run the inner call with workers=1)"
-            )
-        # Assign inside the try so any failure path (gc.freeze, process
-        # spawn) still clears the slot — a leaked fan-out would make
-        # the not-None nesting guard above reject every later sweep in
-        # this process.
-        try:
-            _SCENARIO_FANOUT = (task, configs)
-            gc.freeze()
-            results, _report = supervise(
-                configs,
-                task,
-                processes,
-                policy=supervisor,
-                label="scenario",
-            )
-            return results
-        finally:
-            gc.unfreeze()
-            _SCENARIO_FANOUT = None
-    with multiprocessing.get_context().Pool(
-        processes=processes, initializer=_disable_worker_gc
-    ) as pool:
-        pending = [pool.apply_async(_run_scenario_call, (task, config)) for config in configs]
-        return _collect_scenarios(pending, configs, task)
-
-
-def _merge_results(
-    results: list[ShardResult],
-    thresholds: dict[str, float],
-    total_conns: int,
-    collect_connections: bool,
-    workers: int,
-    recovered_shards: tuple[int, ...] = (),
-    supervision: SupervisionReport | None = None,
-) -> PipelineResult:
-    """Merge per-shard partials into the serial path's exact objects."""
-    classified: tuple[ClassifiedConnection, ...] | None = None
-    if collect_connections:
-        slots: list[ClassifiedConnection | None] = [None] * total_conns
-        for result in results:
-            assert result.indexed_classified is not None
-            for index, item in result.indexed_classified:
-                slots[index] = item
-        if any(item is None for item in slots):
-            raise AnalysisError("shard results did not cover every connection")
-        classified = tuple(item for item in slots if item is not None)
-    return PipelineResult(
-        census=PairingCensus.merge([result.census for result in results]),
-        breakdown=ClassBreakdown.merge([result.breakdown for result in results]),
-        gap_analysis=_merge_present(
-            [result.gaps for result in results],
-            GapAnalysis.merge,
-            "no paired connections: cannot analyse gaps",
-        ),
-        lookup_delays=_merge_present(
-            [result.delays for result in results],
-            LookupDelayAnalysis.merge,
-            "no blocked connections: cannot analyse lookup delays",
-        ),
-        contribution=_merge_present(
-            [result.contribution for result in results],
-            ContributionAnalysis.merge,
-            "no blocked connections: cannot analyse contribution",
-        ),
-        quadrant=SignificanceQuadrant.merge(
-            [result.quadrant for result in results if result.quadrant is not None]
-        ),
-        thresholds=thresholds,
-        failure_stats=merge_failure_stats([result.failure_stats for result in results]),
-        classified=classified,
-        workers=workers,
-        shards=len(results),
-        recovered_shards=recovered_shards,
-        supervision=supervision,
-    )
-
-
-def _serial_pipeline(
-    trace: Trace,
-    options: StudyOptions,
-    blocking_threshold: float,
-    abs_threshold: float,
-    rel_threshold: float,
-    collect_connections: bool,
-) -> PipelineResult:
-    """The reference single-process pipeline (no sharding, no pool)."""
-    pairer = Pairer(
-        trace.dns, policy=options.pairing_policy, seed=options.pairing_seed
-    )
-    paired = pairer.pair_all(trace.conns)
-    classifier = Classifier(trace.dns, config=options.classifier)
-    classified = classifier.classify_all(paired)
-    return PipelineResult(
-        census=PairingCensus.from_paired(paired),
-        breakdown=class_breakdown(classified),
-        gap_analysis=analyze_gaps(paired, blocking_threshold=blocking_threshold),
-        lookup_delays=lookup_delay_analysis(classified),
-        contribution=contribution_analysis(classified),
-        quadrant=significance_quadrant(classified, abs_threshold, rel_threshold),
-        thresholds=classifier.thresholds,
-        failure_stats=collect_failure_stats(trace.dns),
-        classified=tuple(classified) if collect_connections else None,
-        workers=1,
-        shards=1,
-    )
-
-
-def run_pipeline(
-    trace: Trace,
-    options: StudyOptions | None = None,
-    workers: int = 1,
-    shards: int | None = None,
-    blocking_threshold: float = DEFAULT_BLOCKING_THRESHOLD,
-    abs_threshold: float = ABS_INSIGNIFICANT,
-    rel_threshold: float = REL_INSIGNIFICANT,
-    collect_connections: bool = False,
-    supervisor: SupervisorPolicy | None = None,
-) -> PipelineResult:
-    """Run the §4–§6 analysis pipeline, optionally over a worker pool.
-
-    ``workers=1`` runs the plain serial pipeline in-process. With
-    ``workers>1`` the trace is sharded by household
-    (``shards`` defaults to ``workers * DEFAULT_SHARDS_PER_WORKER``,
-    capped at the number of houses) and analysed on a multiprocessing
-    pool; the merged result is byte-identical to ``workers=1``. Set
-    ``collect_connections`` to also return every classified connection
-    in serial (chronological) order.
-    """
-    options = options if options is not None else StudyOptions()
-    if not trace.conns:
-        raise AnalysisError("the trace has no connections to analyse")
-    if workers < 1:
-        raise AnalysisError(f"worker count must be positive, got {workers}")
-    if workers == 1:
-        return _serial_pipeline(
-            trace, options, blocking_threshold, abs_threshold, rel_threshold,
-            collect_connections,
+    if _SCENARIO_FANOUT is not None:
+        # The fan-out state is a process-wide single slot; a task that
+        # itself calls run_scenarios (or a second thread fanning out
+        # concurrently) would overwrite it and dispatch the wrong
+        # scenarios. Fail loudly instead of corrupting results.
+        raise AnalysisError(
+            "run_scenarios() is already fanning out in this process; "
+            "nested or concurrent multi-worker sweeps are not supported "
+            "(run the inner call with workers=1)"
         )
-    houses = {conn.orig_h for conn in trace.conns} | {record.orig_h for record in trace.dns}
-    shard_count = shards if shards is not None else workers * DEFAULT_SHARDS_PER_WORKER
-    shard_count = max(1, min(shard_count, len(houses)))
-    parts = shard_by_household(trace.dns, trace.conns, shard_count)
-    # Phase one: whole-trace SC/R thresholds from merged per-shard stats.
-    resolver_stats = merge_resolver_stats(
-        [collect_resolver_stats(dns_part) for dns_part, _, _ in parts]
-    )
-    thresholds = thresholds_from_stats(resolver_stats, options.classifier.threshold_policy)
-    # Phase two: fan the per-shard analyses out over the pool.
-    tasks = [
-        ShardTask(
-            shard_id=shard_id,
-            dns_records=tuple(dns_part),
-            conns=tuple(conn_part),
-            conn_indices=tuple(index_part),
-            thresholds=thresholds,
-            options=options,
-            blocking_threshold=blocking_threshold,
-            abs_threshold=abs_threshold,
-            rel_threshold=rel_threshold,
-            collect_connections=collect_connections,
+    # Assign inside the try so any failure path (gc.freeze, process
+    # spawn) still clears the slot — a leaked fan-out would make the
+    # not-None nesting guard above reject every later sweep in this
+    # process.
+    try:
+        _SCENARIO_FANOUT = (task, configs)
+        gc.freeze()
+        results, _report = supervise(
+            configs, task, min(workers, len(configs)), label="scenario"
         )
-        for shard_id, (dns_part, conn_part, index_part) in enumerate(parts)
-    ]
-    results, recovered, report = _run_tasks(tasks, workers, supervisor)
-    return _merge_results(
-        results, thresholds, len(trace.conns), collect_connections, workers, recovered,
-        report,
-    )
+        return results
+    finally:
+        gc.unfreeze()
+        _SCENARIO_FANOUT = None
 
-
-def parallel_study(
-    trace: Trace,
-    options: StudyOptions | None = None,
-    workers: int = 1,
-) -> ContextStudy:
-    """A :class:`ContextStudy` whose hot stages ran on a worker pool.
-
-    Pairing and classification — the pipeline's dominant cost — are
-    computed in parallel and installed into the study's caches; every
-    analysis method (including the §5/§7/§8 ones that are not sharded)
-    then sees exactly the objects the serial study would compute.
-    """
-    study = ContextStudy(trace, options)
-    if workers > 1:
-        result = run_pipeline(
-            trace, options=study.options, workers=workers, collect_connections=True
-        )
-        assert result.classified is not None
-        classified = list(result.classified)
-        # Pre-populate the cached_property slots with the merged stages.
-        study.__dict__["classified"] = classified
-        study.__dict__["paired"] = [item.pairing for item in classified]
-        study.__dict__["classifier"] = Classifier(
-            [], config=study.options.classifier, thresholds=result.thresholds
-        )
-    return study
 
 @dataclass(frozen=True, slots=True)
 class StreamingShardTask:
@@ -810,7 +317,7 @@ class StreamingShardTask:
 
 
 def _stream_shard(task: StreamingShardTask) -> StreamingState:
-    """One-pass a single household shard (module-level for spawn pools)."""
+    """One-pass a single household shard."""
     return analyze_stream(task.dns_records, task.conns, task.config)
 
 
@@ -822,7 +329,7 @@ def _run_streaming(
     checkpoint: CheckpointConfig | None = None,
     resume: bool = False,
     checkpoint_telemetry: CheckpointTelemetry | None = None,
-) -> tuple[StreamingState, int]:
+) -> StreamingState:
     """Shared driver of the streaming entry points.
 
     ``workers=1`` consumes the record iterables lazily — this is the
@@ -843,19 +350,16 @@ def _run_streaming(
             "no single resumable frontier)"
         )
     if checkpoint is not None:
-        return (
-            run_checkpointed_stream(
-                dns_records,
-                conns,
-                config,
-                checkpoint=checkpoint,
-                resume=resume,
-                telemetry=checkpoint_telemetry,
-            ),
-            1,
+        return run_checkpointed_stream(
+            dns_records,
+            conns,
+            config,
+            checkpoint=checkpoint,
+            resume=resume,
+            telemetry=checkpoint_telemetry,
         )
     if workers == 1:
-        return analyze_stream(dns_records, conns, config), 1
+        return analyze_stream(dns_records, conns, config)
     dns_list = list(dns_records)
     conn_list = list(conns)
     houses = {conn.orig_h for conn in conn_list} | {record.orig_h for record in dns_list}
@@ -868,9 +372,32 @@ def _run_streaming(
             conns=tuple(conn_part),
             config=config,
         )
-        for shard_id, (dns_part, conn_part, _) in enumerate(parts)
+        for shard_id, (dns_part, conn_part) in enumerate(parts)
     ]
-    return StreamingState.merge(run_scenarios(tasks, _stream_shard, workers)), len(tasks)
+    return StreamingState.merge(run_scenarios(tasks, _stream_shard, workers))
+
+
+def run_pipeline(
+    trace: Trace,
+    options: StudyOptions | None = None,
+    workers: int = 1,
+) -> PipelineResult:
+    """Run the §4–§6 analyses over an in-memory trace.
+
+    The in-memory entry to :func:`run_streaming_pipeline`. Both logs are
+    stably sorted by ``ts`` first: a trace built in memory may hold its
+    records in any order, while the event-time merge rejects a log that
+    goes back in time. ``workers>1`` streams household shards in
+    parallel. The result equals the per-connection reference,
+    ``ContextStudy(trace, options).pipeline_result()``, field for field.
+    """
+    by_ts = attrgetter("ts")
+    return run_streaming_pipeline(
+        sorted(trace.dns, key=by_ts),
+        sorted(trace.conns, key=by_ts),
+        options,
+        workers,
+    )
 
 
 def run_streaming_pipeline(
@@ -880,50 +407,31 @@ def run_streaming_pipeline(
     workers: int = 1,
     window_s: float | None = None,
     drain_interval_s: float = DEFAULT_DRAIN_INTERVAL_S,
-    blocking_threshold: float = DEFAULT_BLOCKING_THRESHOLD,
-    abs_threshold: float = ABS_INSIGNIFICANT,
-    rel_threshold: float = REL_INSIGNIFICANT,
     checkpoint: CheckpointConfig | None = None,
     resume: bool = False,
     checkpoint_telemetry: CheckpointTelemetry | None = None,
 ) -> PipelineResult:
-    """One-pass the logs with exact statistics; return the batch result.
+    """One-pass ``ts``-ordered logs with exact statistics.
 
-    The streaming counterpart of :func:`run_pipeline`: same output type,
-    same values — ``run_streaming_pipeline(trace.dns, trace.conns) ==
-    run_pipeline(trace)`` bit-for-bit (the differential harness pins
-    this across seeds and fault mixes) — but computed in one pass with
-    the DNS index TTL-drained as the stream advances, so ``workers=1``
-    accepts lazy record iterators and never holds the full record
-    population. ``window_s`` additionally bounds expired-fallback tails;
-    parity then holds for traces whose pairing gaps fit in the window.
+    The result equals the per-connection reference
+    (:meth:`~repro.core.context.ContextStudy.pipeline_result`)
+    bit-for-bit — the differential harness pins this across seeds and
+    fault mixes — but is computed in one pass with the DNS index
+    TTL-drained as the stream advances, so ``workers=1`` accepts lazy
+    record iterators and never holds the full record population.
+    ``window_s`` additionally bounds expired-fallback tails; parity then
+    holds for traces whose pairing gaps fit in the window.
     """
     config = StreamingConfig(
         options=options if options is not None else StudyOptions(),
         exact=True,
         window_s=window_s,
         drain_interval_s=drain_interval_s,
-        blocking_threshold=blocking_threshold,
-        abs_threshold=abs_threshold,
-        rel_threshold=rel_threshold,
     )
-    state, shard_count = _run_streaming(
+    state = _run_streaming(
         dns_records, conns, config, workers, checkpoint, resume, checkpoint_telemetry
     )
-    result = finalize_result(state, config)
-    return PipelineResult(
-        census=result.census,
-        breakdown=result.breakdown,
-        gap_analysis=result.gap_analysis,
-        lookup_delays=result.lookup_delays,
-        contribution=result.contribution,
-        quadrant=result.quadrant,
-        thresholds=result.thresholds,
-        failure_stats=result.failure_stats,
-        classified=None,
-        workers=workers,
-        shards=shard_count,
-    )
+    return finalize_result(state, config)
 
 
 def run_streaming_summary(
@@ -934,9 +442,6 @@ def run_streaming_summary(
     window_s: float | None = None,
     epsilon: float = DEFAULT_SKETCH_EPSILON,
     drain_interval_s: float = DEFAULT_DRAIN_INTERVAL_S,
-    blocking_threshold: float = DEFAULT_BLOCKING_THRESHOLD,
-    abs_threshold: float = ABS_INSIGNIFICANT,
-    rel_threshold: float = REL_INSIGNIFICANT,
     checkpoint: CheckpointConfig | None = None,
     resume: bool = False,
     checkpoint_telemetry: CheckpointTelemetry | None = None,
@@ -956,11 +461,8 @@ def run_streaming_summary(
         epsilon=epsilon,
         window_s=window_s,
         drain_interval_s=drain_interval_s,
-        blocking_threshold=blocking_threshold,
-        abs_threshold=abs_threshold,
-        rel_threshold=rel_threshold,
     )
-    state, _ = _run_streaming(
+    state = _run_streaming(
         dns_records, conns, config, workers, checkpoint, resume, checkpoint_telemetry
     )
     return finalize_summary(state, config)

@@ -14,7 +14,6 @@ have their mapping on hand). This module computes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.core.classify import BLOCKED_CLASSES, ClassifiedConnection, ConnClass
 from repro.core.stats import Cdf, fraction_above, percentile
@@ -43,25 +42,6 @@ class LookupDelayAnalysis:
     def series(self, points: int = 200) -> list[tuple[float, float]]:
         """(delay seconds, cumulative probability) pairs for plotting."""
         return self.cdf.series(points)
-
-    @classmethod
-    def merge(cls, parts: Sequence["LookupDelayAnalysis"]) -> "LookupDelayAnalysis":
-        """Combine per-shard delay analyses into the whole-trace analysis.
-
-        The delay sample is the merged CDF's support, so the percentiles
-        and tail fraction are recomputed over the pooled sample — the
-        result equals :func:`lookup_delay_analysis` over all shards'
-        connections at once.
-        """
-        if not parts:
-            raise AnalysisError("no blocked connections: cannot analyse lookup delays")
-        cdf = Cdf.merge([part.cdf for part in parts])
-        return cls(
-            cdf=cdf,
-            median=percentile(cdf.xs, 50),
-            p75=percentile(cdf.xs, 75),
-            over_100ms_fraction=fraction_above(cdf.xs, 0.100),
-        )
 
 
 def lookup_delay_analysis(classified: list[ClassifiedConnection]) -> LookupDelayAnalysis:
@@ -119,29 +99,6 @@ class ContributionAnalysis:
             raise AnalysisError(f"no contribution series for {which!r}")
         return cdf.series(points)
 
-    @classmethod
-    def merge(cls, parts: Sequence["ContributionAnalysis"]) -> "ContributionAnalysis":
-        """Combine per-shard contribution analyses into one.
-
-        Per-class CDFs merge (absent classes stay None when no shard saw
-        them) and the tail fractions are recomputed over the pooled
-        samples, matching :func:`contribution_analysis` over the union.
-        """
-        if not parts:
-            raise AnalysisError("no blocked connections: cannot analyse contribution")
-        all_cdf = Cdf.merge([part.all_cdf for part in parts])
-        sc_parts = [part.sc_cdf for part in parts if part.sc_cdf is not None]
-        r_parts = [part.r_cdf for part in parts if part.r_cdf is not None]
-        r_cdf = Cdf.merge(r_parts) if r_parts else None
-        return cls(
-            all_cdf=all_cdf,
-            sc_cdf=Cdf.merge(sc_parts) if sc_parts else None,
-            r_cdf=r_cdf,
-            over_1pct_all=fraction_above(all_cdf.xs, REL_INSIGNIFICANT),
-            over_10pct_all=fraction_above(all_cdf.xs, 10.0),
-            over_1pct_r=fraction_above(r_cdf.xs, REL_INSIGNIFICANT) if r_cdf else 0.0,
-        )
-
 
 def contribution_analysis(classified: list[ClassifiedConnection]) -> ContributionAnalysis:
     """DNS' relative contribution for SC∪R, per class and overall."""
@@ -175,8 +132,7 @@ class SignificanceQuadrant:
     Fractions are of SC∪R connections; ``significant_of_all`` rescales
     the both-criteria cell to the full connection population (the
     paper's 3.6%). The ``*_count`` integers are the raw cell counts the
-    fractions derive from; :meth:`merge` sums them across shards and
-    recomputes the fractions exactly.
+    fractions derive from (:func:`quadrant_from_cells`).
     """
 
     insignificant_both: float
@@ -199,28 +155,6 @@ class SignificanceQuadrant:
             (">20ms only (<=1%)", self.absolute_only),
             (">20ms and >1%", self.significant_both),
         ]
-
-    @classmethod
-    def merge(cls, parts: Sequence["SignificanceQuadrant"]) -> "SignificanceQuadrant":
-        """Combine per-shard quadrants (computed with equal thresholds).
-
-        Cell counts and population sizes sum; every fraction is then
-        recomputed from the sums, so the merged quadrant equals
-        :func:`significance_quadrant` over all shards' connections.
-        """
-        if not parts:
-            raise AnalysisError("no blocked connections: cannot compute quadrant")
-        cells = {
-            "ii": sum(part.insignificant_both_count for part in parts),
-            "rel": sum(part.relative_only_count for part in parts),
-            "abs": sum(part.absolute_only_count for part in parts),
-            "sig": sum(part.significant_both_count for part in parts),
-        }
-        blocked = sum(part.blocked_conns for part in parts)
-        total = sum(part.total_conns for part in parts)
-        if not blocked:
-            raise AnalysisError("no blocked connections: cannot compute quadrant")
-        return quadrant_from_cells(cells, blocked, total)
 
 
 def significance_quadrant(
@@ -256,8 +190,8 @@ def quadrant_from_cells(
     """Build a quadrant from raw ``ii``/``rel``/``abs``/``sig`` cell
     counts and the blocked/total population sizes.
 
-    Shared by the batch classifier, the shard merge, and the streaming
-    engine — all three count cells their own way and converge here."""
+    Shared by :func:`significance_quadrant` and the streaming engine —
+    both count cells their own way and converge here."""
     return SignificanceQuadrant(
         insignificant_both=cells["ii"] / blocked_conns,
         relative_only=cells["rel"] / blocked_conns,

@@ -1,16 +1,18 @@
-"""One-pass streaming analysis: the batch pipeline with bounded memory.
+"""One-pass streaming analysis: the §4–§6 engine with bounded memory.
 
-The batch pipeline (:mod:`repro.core.parallel`) loads a full trace and
-makes several passes over it, so analysis memory is O(trace). This
-module re-expresses the same §4–§6 analyses as a graph of incremental
-operators over a single time-ordered pass — the FlowDNS-style shape
-that scales to "millions of users, heavy traffic":
+The per-connection reference (:class:`~repro.core.context.ContextStudy`)
+loads a full trace and makes several passes over it, so analysis memory
+is O(trace). This module re-expresses the same §4–§6 analyses as a
+graph of incremental operators over a single time-ordered pass — the
+FlowDNS-style shape that scales to "millions of users, heavy traffic".
+It is the only §4–§6 engine: :func:`repro.core.parallel.run_pipeline`
+and :func:`~repro.core.parallel.run_streaming_pipeline` both drive it.
 
 * :func:`stream_trace` merges a ``ts``-ordered DNS log and connection
   log into one event-time stream (a DNS record becomes visible at
   ``completed_at = ts + rtt``; a small reorder heap absorbs in-flight
   lookups, and DNS sorts before connections on timestamp ties — exactly
-  the batch index's ``completed_at <= conn.ts`` visibility rule).
+  the reference index's ``completed_at <= conn.ts`` visibility rule).
 * :class:`StreamingAnalyzer` consumes the stream: the incremental
   :class:`~repro.core.pairing.Pairer` pairs each connection on arrival,
   TTL-based drains evict dead index state (emitting expired, never
@@ -24,10 +26,11 @@ that scales to "millions of users, heavy traffic":
 buffers the per-connection samples (three floats per blocked
 connection, one per paired connection) that the paper's full-sample
 CDFs and knee detection need, and :func:`finalize_result` reproduces
-the batch :func:`~repro.core.parallel.run_pipeline` output
+the per-connection reference
+(:meth:`~repro.core.context.ContextStudy.pipeline_result`)
 *byte-identically*: every aggregate is either an online counter, an
 order-invariant statistic over the buffered sample, or derived from the
-final merged thresholds exactly as the batch classifier derives them.
+final merged thresholds exactly as the reference classifier derives them.
 Record objects are still dropped as the window advances, so memory
 falls from O(trace records) to O(window records + trace floats). With
 ``exact=False`` the sample buffers are replaced by quantile sketches
@@ -37,7 +40,7 @@ certified rank-error bound (:func:`finalize_summary`).
 
 **Windowing.** ``window_s=None`` evicts only TTL-dead candidates and
 keeps one expired-fallback tail per (house, address) key, which
-preserves batch parity unconditionally. A finite ``window_s``
+preserves reference parity unconditionally. A finite ``window_s``
 additionally drops fallback tails older than the window: memory is then
 strictly bounded, and results are unchanged for any trace whose
 pairing gaps fit inside the window (the window-invariance property the
@@ -64,7 +67,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.core.blocking import (
-    DEFAULT_BLOCKING_THRESHOLD,
     KNEE_REFERENCE,
     GapAnalysis,
     find_gap_knee,
@@ -101,11 +103,14 @@ DEFAULT_SKETCH_EPSILON = 0.01
 class StreamingConfig:
     """All knobs of the one-pass engine.
 
-    ``exact`` selects full-sample buffers (batch parity) versus
+    ``exact`` selects full-sample buffers (reference parity) versus
     quantile sketches (O(window) memory); ``window_s`` bounds how long
     expired-fallback tails are retained (None keeps them for the
     stream's lifetime); ``drain_interval_s`` sets the eviction cadence
     (a pure performance knob — results are drain-schedule invariant).
+    The blocking threshold is the classifier's
+    (``options.classifier.blocking_threshold``), so a connection is
+    blocked here exactly when the per-connection classifier says so.
     """
 
     options: StudyOptions = field(default_factory=StudyOptions)
@@ -113,7 +118,6 @@ class StreamingConfig:
     epsilon: float = DEFAULT_SKETCH_EPSILON
     window_s: float | None = None
     drain_interval_s: float = DEFAULT_DRAIN_INTERVAL_S
-    blocking_threshold: float = DEFAULT_BLOCKING_THRESHOLD
     knee_reference: float = KNEE_REFERENCE
     abs_threshold: float = ABS_INSIGNIFICANT
     rel_threshold: float = REL_INSIGNIFICANT
@@ -125,9 +129,10 @@ class StreamingConfig:
             )
         if self.window_s is not None and self.window_s <= 0:
             raise AnalysisError(f"window must be positive, got {self.window_s}")
-        if self.blocking_threshold <= 0:
+        blocking_threshold = self.options.classifier.blocking_threshold
+        if blocking_threshold <= 0:
             raise AnalysisError(
-                f"blocking threshold must be positive, got {self.blocking_threshold}"
+                f"blocking threshold must be positive, got {blocking_threshold}"
             )
 
 
@@ -138,9 +143,8 @@ class StreamingState:
     Everything a finalize step needs, and nothing tied to the live
     index: counters merge by addition, sample buffers by concatenation,
     sketches via :meth:`QuantileSketch.merge`, and the resolver
-    observer via :meth:`ResolverObserver.merge_from` — the same algebra
-    as the batch pipeline's shard merge, so household shards can stream
-    independently and combine.
+    observer via :meth:`ResolverObserver.merge_from` — so household
+    shards can stream independently and combine.
     """
 
     exact: bool = True
@@ -372,7 +376,7 @@ def stream_trace(
     Yields ``("dns", record)`` and ``("conn", record)`` pairs ordered
     by event time — a DNS record's event time is its *completion*
     (``ts + rtt``), a connection's its start — with DNS sorting first
-    on ties, matching the batch index's ``completed_at <= conn.ts``
+    on ties, matching the reference index's ``completed_at <= conn.ts``
     visibility rule. A lookup is only in flight between its start and
     completion, so a min-heap of pending completions (bounded by the
     number of concurrently outstanding lookups) suffices to reorder;
@@ -441,6 +445,7 @@ class StreamingAnalyzer:
             seed=options.pairing_seed,
             retain_records=False,
         )
+        self._blocking_threshold = options.classifier.blocking_threshold
         self.state = StreamingState(exact=self.config.exact)
         if not self.config.exact:
             epsilon = self.config.epsilon
@@ -522,8 +527,8 @@ class StreamingAnalyzer:
             state.first_use_above_total += 1
             state.first_use_above_hits += 1 if result.first_use else 0
         # Table 2 / §6: the raw gap decides blocked-ness, exactly as the
-        # batch classifier reads ``pairing.gap``.
-        if gap > self.config.blocking_threshold:
+        # per-connection classifier reads ``pairing.gap``.
+        if gap > self._blocking_threshold:
             if result.first_use:
                 state.class_p += 1
             else:
@@ -573,7 +578,7 @@ class StreamingAnalyzer:
 
     @staticmethod
     def _contribution_percent(rtt_s: float, conn_duration_s: float) -> float:
-        """``100·D/(D+A)`` with the batch path's 0/0 = 0 convention."""
+        """``100·D/(D+A)`` with the per-connection path's 0/0 = 0 convention."""
         if rtt_s <= 0:
             return 0.0
         return 100.0 * rtt_s / (rtt_s + conn_duration_s)
@@ -596,14 +601,15 @@ class StreamingAnalyzer:
 
 def finalize_result(
     state: StreamingState, config: StreamingConfig
-) -> "StreamingResult":
-    """Assemble the batch pipeline's exact aggregates from a finished state.
+) -> "PipelineResult":
+    """Assemble the exact §4–§6 aggregates from a finished state.
 
     Only valid for exact-mode states: every statistic below is either a
     plain counter, an order-invariant function of a buffered sample, or
-    derived from the final merged thresholds the way the batch
+    derived from the final merged thresholds the way the per-connection
     classifier derives it — which is why the result is byte-identical
-    to :func:`repro.core.parallel.run_pipeline` on the same records.
+    to :meth:`repro.core.context.ContextStudy.pipeline_result` on the
+    same records.
     """
     if not state.exact:
         raise AnalysisError("exact results need exact=True; use finalize_summary instead")
@@ -655,7 +661,7 @@ def finalize_result(
             if state.first_use_above_total
             else 0.0
         ),
-        blocking_threshold=config.blocking_threshold,
+        blocking_threshold=config.options.classifier.blocking_threshold,
         knee_excluded_samples=excluded,
         first_use_below_hits=state.first_use_below_hits,
         first_use_below_total=state.first_use_below_total,
@@ -674,10 +680,10 @@ def finalize_result(
         all_cdf=Cdf.from_values(contributions),
         sc_cdf=Cdf.from_values(contributions_sc) if contributions_sc else None,
         r_cdf=Cdf.from_values(contributions_r) if contributions_r else None,
-        over_1pct_all=fraction_above(contributions, config.rel_threshold),
+        over_1pct_all=fraction_above(contributions, REL_INSIGNIFICANT),
         over_10pct_all=fraction_above(contributions, 10.0),
         over_1pct_r=(
-            fraction_above(contributions_r, config.rel_threshold)
+            fraction_above(contributions_r, REL_INSIGNIFICANT)
             if contributions_r
             else 0.0
         ),
@@ -692,7 +698,7 @@ def finalize_result(
         state.blocked_conns,
         state.total_conns,
     )
-    return StreamingResult(
+    return PipelineResult(
         census=_census(state),
         breakdown=ClassBreakdown(counts=counts),
         gap_analysis=gap_analysis,
@@ -718,13 +724,15 @@ def _census(state: StreamingState) -> PairingCensus:
 
 
 @dataclass(frozen=True, slots=True)
-class StreamingResult:
-    """Exact-mode output: the batch pipeline's aggregates, one pass.
+class PipelineResult:
+    """The §4–§6 results of one analysis run.
 
-    Field-for-field the analysis payload of
-    :class:`repro.core.parallel.PipelineResult` (that class wraps this
-    one with execution metadata), plus the streaming engine's own
-    telemetry, which deliberately does not participate in equality.
+    The exact streaming engine (:func:`finalize_result`) and the
+    per-connection reference
+    (:meth:`~repro.core.context.ContextStudy.pipeline_result`) both
+    build it, and the parity tests compare the two with ``==``. The two
+    telemetry fields are the streaming engine's own (zero for the
+    reference) and deliberately do not participate in equality.
     """
 
     census: PairingCensus

@@ -164,7 +164,7 @@ class CacheStats:
 
     All fields are plain additive counters, so per-shard (or
     per-resolver) tallies merge by addition into exactly the
-    whole-population tally — the contract the parallel pipeline's merge
+    whole-population tally — the contract per-house generation's merge
     step relies on (see :meth:`merged_with` / :meth:`merge`).
     """
 

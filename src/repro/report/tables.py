@@ -6,9 +6,9 @@ from typing import Sequence
 
 from repro.core.classify import ClassBreakdown
 from repro.core.improvements import RefreshComparison
-from repro.core.parallel import PipelineResult, PressureStats
+from repro.core.parallel import PressureStats
 from repro.core.resolvers import ResolverUsageRow
-from repro.core.streaming import StreamingSummary
+from repro.core.streaming import PipelineResult, StreamingSummary
 from repro.monitor.logs import IngestReport
 
 
@@ -101,12 +101,14 @@ def render_table3(comparison: RefreshComparison) -> str:
     return render_table(("", "Standard", "Refresh All"), body)
 
 def render_pipeline_report(result: "PipelineResult") -> str:
-    """Text report of one §4–§6 pipeline run.
+    """Text report of one §4–§6 result.
 
-    Renders only the :class:`~repro.core.parallel.PipelineResult`
-    payload — no trace access — so the batch and streaming engines
-    share it; all dict-backed sections sort their keys, making equal
-    results render byte-identically regardless of which engine (or
+    Renders only the :class:`~repro.core.streaming.PipelineResult`
+    payload — no trace access — so the streaming engine and the
+    per-connection reference
+    (:meth:`~repro.core.context.ContextStudy.pipeline_result`) share it;
+    all dict-backed sections sort their keys, making equal results
+    render byte-identically regardless of which of the two (or which
     shard order) produced them.
     """
     census = result.census

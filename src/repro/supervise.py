@@ -1,12 +1,12 @@
-"""A process supervisor for the parallel fan-out paths.
+"""The process supervisor behind the fork fan-out.
 
-:mod:`repro.core.parallel` originally ran its fan-outs on a
-``multiprocessing.Pool`` with one recovery move: if a worker died, the
-parent re-ran the task serially. That covers crashes but not the two
-uglier production failure modes — a worker that *hangs* (stuck syscall,
-livelock) stalls the whole pool forever, and a poison task that kills
-every worker it lands on is retried without bound. This module replaces
-the pool on fork-capable platforms with a real supervisor:
+:func:`repro.core.parallel.run_scenarios` — the one fan-out, used by
+sweeps, sharded generation and sharded streaming analysis — runs its
+workers here. A bare retry-on-crash pool misses the two uglier
+production failure modes: a worker that *hangs* (stuck syscall,
+livelock) stalls the fan-out forever, and a poison task that kills
+every worker it lands on is retried without bound. The supervisor
+handles both:
 
 * **One process per attempt.** Each task attempt runs in a fresh
   fork-started process; arguments travel through copy-on-write memory
@@ -22,14 +22,14 @@ the pool on fork-capable platforms with a real supervisor:
   draw in this repo.
 * **Quarantine, not hangs.** A task that exhausts its budget on
   crash-type failures gets one final *serial* attempt in the parent
-  (the exact ``workers=1`` code path, preserving the pipeline's
-  recovered-shard provenance and byte-identical results). A task that
-  exhausts its budget on *hang*-type failures is never retried in the
-  parent — that would hang the parent too — and is quarantined by
-  raising :class:`~repro.errors.SupervisionError` naming the task. A
-  worker that died with a genuine :class:`~repro.errors.ReproError`
-  (bad inputs fail identically everywhere) skips restarts entirely and
-  re-raises the real error from the parent attempt.
+  (the exact ``workers=1`` code path, so results stay byte-identical).
+  A task that exhausts its budget on *hang*-type failures is never
+  retried in the parent — that would hang the parent too — and is
+  quarantined by raising :class:`~repro.errors.SupervisionError`
+  naming the task. A worker that died with a genuine
+  :class:`~repro.errors.ReproError` (bad inputs fail identically
+  everywhere) skips restarts entirely and re-raises the real error
+  from the parent attempt.
 
 Every outcome is recorded in a :class:`SupervisionReport` so callers
 can surface per-task attempts/failures as run provenance.
@@ -209,16 +209,14 @@ def supervise(
     run: Callable[[Any], Any],
     workers: int,
     policy: SupervisorPolicy | None = None,
-    parent_run: Callable[[Any], Any] | None = None,
     label: str = "task",
 ) -> tuple[list[Any], SupervisionReport]:
     """Run *run* over *tasks* in supervised fork-started processes.
 
     Returns ``(results, report)`` with results in task order. Requires a
-    fork-capable platform (the callers keep a pickling pool fallback for
-    the rest). *parent_run* is the serial-retry entry — it defaults to
-    *run*, but callers whose worker entry wraps test crash-injection
-    hooks pass the unhooked function, exactly like the old pool path.
+    fork-capable platform; :func:`~repro.core.parallel.run_scenarios`
+    runs its serial loop instead where fork is missing. The parent's
+    serial retry calls *run* too.
 
     Raises :class:`SupervisionError` when a task is quarantined (see the
     module docstring for the failure taxonomy); a worker that failed
@@ -230,8 +228,6 @@ def supervise(
         raise AnalysisError(f"worker count must be positive, got {workers}")
     if policy is None:
         policy = SupervisorPolicy()
-    if parent_run is None:
-        parent_run = run
     count = len(task_list)
     if not count:
         return [], SupervisionReport(label=label, tasks=())
@@ -277,7 +273,7 @@ def supervise(
         # propagates as itself; anything else means the task also poisons
         # the parent and is quarantined.
         try:
-            results[index] = parent_run(task_list[index])
+            results[index] = run(task_list[index])
         except ReproError:
             raise
         except _REPORTABLE_FAILURES as exc:

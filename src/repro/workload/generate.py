@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import multiprocessing
 import random
 from dataclasses import dataclass
 
@@ -507,21 +506,17 @@ def _clip_warmup(trace: Trace, warmup: float) -> Trace:
 def _resolve_fanout(config: ScenarioConfig, shards: int | None, workers: int) -> tuple[int, int]:
     """The (shards, workers) a generation run will actually use.
 
-    Workers degrade to 1 when forking is unavailable (the generator's
-    universe holds closures a pickling pool cannot ship) or when this
-    process is already inside a scenario fan-out (nested pools are
-    rejected by :func:`~repro.core.parallel.run_scenarios`; a serial
-    shard loop is byte-identical anyway). Automatic sharding gives each
+    Workers degrade to 1 when this process is already inside a scenario
+    fan-out (nested fan-outs are rejected by
+    :func:`~repro.core.parallel.run_scenarios`; a serial shard loop is
+    byte-identical anyway). Automatic sharding gives each
     effective worker :data:`GENERATION_SHARDS_PER_WORKER` shards,
     bounded by the house count; explicit ``shards`` is honoured as-is
     (bounded by houses) so parity tests can pin any shard count.
     """
     if workers < 1:
         workers = 1
-    if workers > 1 and (
-        in_scenario_fanout()
-        or "fork" not in multiprocessing.get_all_start_methods()
-    ):
+    if workers > 1 and in_scenario_fanout():
         workers = 1
     if shards is None:
         effective = effective_worker_count(workers, jobs=config.houses)
@@ -561,8 +556,8 @@ def generate_trace(
 ) -> Trace:
     """Generate the trace for *config* (convenience wrapper).
 
-    ``shards``/``workers`` fan the scenario's houses out over a fork
-    pool; the result is byte-identical for every combination (the
+    ``shards``/``workers`` fan the scenario's houses out over fork
+    workers; the result is byte-identical for every combination (the
     golden parity tests pin this). Generation allocates millions of
     short-lived, acyclic objects; the cyclic collector only adds
     pauses, so it is suspended for the run (and restored even on

@@ -1,6 +1,7 @@
-"""The sharded parallel pipeline must reproduce the serial path exactly."""
+"""The sharded streaming pipeline must reproduce the per-connection reference."""
 
 import os
+import random
 
 import pytest
 
@@ -8,11 +9,10 @@ from repro.core.classify import ClassifierConfig
 from repro.core.context import ContextStudy, StudyOptions
 from repro.core.pairing import PairingPolicy
 from repro.core.parallel import (
-    DEFAULT_SHARDS_PER_WORKER,
     effective_worker_count,
-    parallel_study,
     run_pipeline,
     run_scenarios,
+    run_streaming_pipeline,
     shard_by_household,
 )
 from repro.errors import AnalysisError
@@ -38,14 +38,36 @@ def _tiny_scenario_digest(config: ScenarioConfig) -> str:
     return trace_digest(generate_trace(config))
 
 
+def _unclamp_cpus(monkeypatch):
+    """Pretend the host has CPUs to spare so the fork paths run.
+
+    The CPU clamp would otherwise degrade these tests to the serial path
+    on constrained CI hosts, silently un-exercising the fork machinery
+    they exist to cover.
+    """
+    from repro.core import parallel as parallel_mod
+
+    monkeypatch.setattr(parallel_mod, "_available_cpus", lambda: 8)
+
+
+def _forbid_supervise(monkeypatch):
+    """Make any fork fan-out fail the test."""
+    from repro.core import parallel as parallel_mod
+
+    def forbidden(*args, **kwargs):  # pragma: no cover - failure path
+        raise AssertionError("the fan-out must run its serial loop")
+
+    monkeypatch.setattr(parallel_mod, "supervise", forbidden)
+
+
 @pytest.fixture(scope="module")
 def trace() -> Trace:
     return generate_trace(ScenarioConfig(seed=11, houses=8, duration=2 * 3600.0))
 
 
 @pytest.fixture(scope="module")
-def serial(trace):
-    return run_pipeline(trace, workers=1, collect_connections=True)
+def reference(trace):
+    return ContextStudy(trace).pipeline_result()
 
 
 def test_sharding_partitions_households(trace):
@@ -53,15 +75,13 @@ def test_sharding_partitions_households(trace):
     assert len(parts) == 3
     houses_per_shard = [
         {r.orig_h for r in dns} | {c.orig_h for c in conns}
-        for dns, conns, _ in parts
+        for dns, conns in parts
     ]
     for i, left in enumerate(houses_per_shard):
         for right in houses_per_shard[i + 1 :]:
             assert not (left & right)
-    assert sum(len(conns) for _, conns, _ in parts) == len(trace.conns)
-    assert sum(len(dns) for dns, _, _ in parts) == len(trace.dns)
-    all_indices = sorted(i for _, _, idx in parts for i in idx)
-    assert all_indices == list(range(len(trace.conns)))
+    assert sum(len(conns) for _, conns in parts) == len(trace.conns)
+    assert sum(len(dns) for dns, _ in parts) == len(trace.dns)
 
 
 def test_sharding_rejects_nonpositive_count(trace):
@@ -70,65 +90,63 @@ def test_sharding_rejects_nonpositive_count(trace):
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-def test_parallel_equals_serial(trace, serial, workers):
-    parallel = run_pipeline(trace, workers=workers, collect_connections=True)
-    assert parallel == serial
-    assert parallel.classified == serial.classified
-    assert parallel.thresholds == serial.thresholds
+def test_parallel_equals_serial(trace, reference, workers, monkeypatch):
+    _unclamp_cpus(monkeypatch)
+    assert run_pipeline(trace, workers=1) == reference
+    parallel = run_pipeline(trace, workers=workers)
+    assert parallel == reference
+    assert parallel.thresholds == reference.thresholds
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-def test_parallel_equals_serial_random_policy(trace, workers):
+def test_parallel_equals_serial_random_policy(trace, workers, monkeypatch):
+    _unclamp_cpus(monkeypatch)
     options = StudyOptions(
         pairing_policy=PairingPolicy.RANDOM_NON_EXPIRED, pairing_seed=7
     )
-    serial = run_pipeline(trace, options, workers=1, collect_connections=True)
-    parallel = run_pipeline(trace, options, workers=workers, collect_connections=True)
-    assert parallel == serial
-    assert parallel.classified == serial.classified
+    reference = ContextStudy(trace, options).pipeline_result()
+    assert run_pipeline(trace, options, workers=1) == reference
+    assert run_pipeline(trace, options, workers=workers) == reference
 
 
-def test_shard_count_override(trace, serial):
-    parallel = run_pipeline(trace, workers=2, shards=5, collect_connections=True)
-    assert parallel.shards == 5
-    assert parallel == serial
+@pytest.mark.parametrize("workers", [1, 2])
+def test_parallel_equals_serial_blocking_threshold(trace, reference, workers, monkeypatch):
+    _unclamp_cpus(monkeypatch)
+    options = StudyOptions(classifier=ClassifierConfig(blocking_threshold=0.02))
+    expected = ContextStudy(trace, options).pipeline_result()
+    # The option must move Table 2 here, or ignoring it would go unseen.
+    assert expected.breakdown != reference.breakdown
+    result = run_pipeline(trace, options, workers=workers)
+    assert result == expected
+    assert result.gap_analysis.blocking_threshold == 0.02
 
 
-def test_more_shards_than_houses_clamps(trace, serial):
-    parallel = run_pipeline(trace, workers=4, shards=100)
-    assert parallel.shards == 8  # the scenario has 8 houses
-    assert parallel.census == serial.census
-    assert parallel.breakdown == serial.breakdown
-
-
-def test_default_shard_count(trace):
-    parallel = run_pipeline(trace, workers=2)
-    assert parallel.shards == min(8, 2 * DEFAULT_SHARDS_PER_WORKER)
-
-
-def test_pipeline_matches_context_study(trace, serial):
+def test_pipeline_matches_context_study(trace):
+    result = run_pipeline(trace)
     study = ContextStudy(trace)
-    assert serial.breakdown == study.breakdown
-    assert serial.census == study.pairing_census()
-    assert serial.gap_analysis == study.gap_analysis()
-    assert serial.lookup_delays == study.lookup_delays()
-    assert serial.contribution == study.contribution()
-    assert serial.quadrant == study.significance_quadrant()
-    assert serial.classified == tuple(study.classified)
-    assert serial.paired == tuple(study.paired)
+    assert result.breakdown == study.breakdown
+    assert result.census == study.pairing_census()
+    assert result.gap_analysis == study.gap_analysis()
+    assert result.lookup_delays == study.lookup_delays()
+    assert result.contribution == study.contribution()
+    assert result.quadrant == study.significance_quadrant()
+    assert result.thresholds == study.classifier.thresholds
+    assert result.failure_stats == study.failure_stats()
 
 
-def test_parallel_study_matches_serial_study(trace):
-    options = StudyOptions(classifier=ClassifierConfig())
-    reference = ContextStudy(trace, options)
-    study = parallel_study(trace, options, workers=4)
-    assert study.classified == reference.classified
-    assert study.paired == reference.paired
-    assert study.classifier.thresholds == reference.classifier.thresholds
-    assert study.breakdown == reference.breakdown
-    # Downstream (non-sharded) analyses run off the injected caches.
-    assert study.ttl_violations() == reference.ttl_violations()
-    assert study.hit_rates() == reference.hit_rates()
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_pipeline_sorts_an_unsorted_trace(trace, reference, workers, monkeypatch):
+    _unclamp_cpus(monkeypatch)
+    rng = random.Random(5)
+    dns = list(trace.dns)
+    conns = list(trace.conns)
+    rng.shuffle(dns)
+    rng.shuffle(conns)
+    # The event-time merge itself refuses the shuffled logs ...
+    with pytest.raises(AnalysisError, match="not time-ordered"):
+        run_streaming_pipeline(dns, conns)
+    # ... so run_pipeline must sort an in-memory trace before streaming it.
+    assert run_pipeline(Trace(dns=dns, conns=conns), workers=workers) == reference
 
 
 def test_run_pipeline_rejects_bad_workers(trace):
@@ -141,25 +159,7 @@ def test_run_pipeline_rejects_empty_trace():
         run_pipeline(Trace(dns=[], conns=[]), workers=2)
 
 
-def test_collect_connections_off_by_default(trace):
-    result = run_pipeline(trace, workers=2)
-    assert result.classified is None
-    assert result.paired is None
-
-
 # -- run_scenarios: multi-scenario fan-out ----------------------------------
-
-
-def _unclamp_cpus(monkeypatch):
-    """Pretend the host has CPUs to spare so the pool path runs.
-
-    The CPU clamp would otherwise degrade these tests to the serial path
-    on constrained CI hosts, silently un-exercising the fork machinery
-    they exist to cover.
-    """
-    from repro.core import parallel as parallel_mod
-
-    monkeypatch.setattr(parallel_mod, "_available_cpus", lambda: 8)
 
 
 def test_run_scenarios_preserves_config_order(monkeypatch):
@@ -198,7 +198,7 @@ def test_run_scenarios_rejects_nested_fanout(monkeypatch):
 
 
 def test_run_scenarios_recovers_crashed_workers(monkeypatch):
-    # Every pool worker raises; the serial retry in the parent succeeds,
+    # Every forked worker raises; the serial retry in the parent succeeds,
     # so results still arrive complete and in order.
     _unclamp_cpus(monkeypatch)
     assert run_scenarios([1, 2, 3], _fail_in_worker, workers=2) == [2, 3, 4]
@@ -220,17 +220,24 @@ def test_run_scenarios_clamps_workers_to_cpus(monkeypatch, capsys):
     from repro.core import parallel as parallel_mod
 
     monkeypatch.setattr(parallel_mod, "_available_cpus", lambda: 1)
-    calls = {"count": 0}
-
-    def forbidden(*args, **kwargs):  # pragma: no cover - failure path
-        calls["count"] += 1
-        raise AssertionError("pool must not be used on a 1-CPU host")
-
-    monkeypatch.setattr(parallel_mod.multiprocessing, "get_context", forbidden)
+    _forbid_supervise(monkeypatch)
     assert run_scenarios([1, 2, 3], _square, workers=4) == [1, 4, 9]
-    assert calls["count"] == 0
     err = capsys.readouterr().err
     assert "reducing workers 4 -> 1" in err
+
+
+def test_run_scenarios_without_fork_runs_serially(monkeypatch):
+    # Fork is the only parallel start method: without it the fan-out
+    # runs its serial loop, with the serial loop's results.
+    from repro.core import parallel as parallel_mod
+
+    _unclamp_cpus(monkeypatch)
+    monkeypatch.setattr(
+        parallel_mod.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+    )
+    _forbid_supervise(monkeypatch)
+    configs = list(range(6))
+    assert run_scenarios(configs, _square, workers=3) == [_square(c) for c in configs]
 
 
 def test_effective_worker_count(monkeypatch):

@@ -164,6 +164,21 @@ class TestCli:
 
         assert main(["analyze"]) == 2
 
+    def test_batch_analyze_runs_in_one_process(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = str(tmp_path / "out")
+        assert main(["generate", "--houses", "2", "--hours", "0.5", "--seed", "2", "--out", out]) == 0
+        logs = ["--dns", f"{out}/dns.log", "--conn", f"{out}/conn.log"]
+        capsys.readouterr()
+        # Only --streaming shards the analysis; batch refuses other counts.
+        assert main(["analyze", *logs, "--workers", "2"]) == 2
+        assert "requires --streaming" in capsys.readouterr().err
+        assert main(["analyze", "--pcap", f"{out}/none.pcap", "--workers", "2"]) == 2
+        assert "requires --streaming" in capsys.readouterr().err
+        assert main(["analyze", *logs, "--workers", "1"]) == 0
+        assert "Table 2" in capsys.readouterr().out
+
     def test_analyze_pcap(self, tmp_path, capsys):
         import importlib.util
         from pathlib import Path

@@ -3,11 +3,12 @@
 Covers the deterministic fault plan (seeded, order-invariant decisions
 and outage windows), the client retry/backoff/failover model, failed
 transactions flowing through generation, logs, pairing, classification,
-and the parallel pipeline, plus the lenient-ingest and worker-crash
+and the sharded pipeline, plus the lenient-ingest and worker-crash
 recovery paths.
 """
 
 import io
+import os
 import random
 
 import pytest
@@ -15,9 +16,9 @@ import pytest
 from repro.cli import EXIT_DATA, EXIT_NOINPUT, EXIT_SOFTWARE, main
 from repro.core import parallel as parallel_mod
 from repro.core.classify import (
+    ResolverObserver,
     collect_failure_stats,
     collect_resolver_stats,
-    merge_failure_stats,
     thresholds_from_stats,
 )
 from repro.core.context import ContextStudy
@@ -456,10 +457,13 @@ class TestFailedRecordSemantics:
             failed_record("D4", rcode="NXDOMAIN"),
         ]
         whole = collect_failure_stats(records)
-        merged = merge_failure_stats(
-            [collect_failure_stats(records[:2]), collect_failure_stats(records[2:])]
-        )
-        assert merged == whole
+        left, right = ResolverObserver(), ResolverObserver()
+        for record in records[:2]:
+            left.observe(record)
+        for record in records[2:]:
+            right.observe(record)
+        left.merge_from(right)
+        assert left.failure_stats() == whole
         stats = whole["8.8.8.8"]
         assert stats.queries == 4
         assert stats.servfails == 1 and stats.timeouts == 1 and stats.nxdomains == 1
@@ -514,11 +518,11 @@ class TestFaultedEndToEnd:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_parallel_matches_serial_on_faulted_trace(self, faulted_trace, workers):
-        serial = run_pipeline(faulted_trace, workers=1, collect_connections=True)
-        parallel = run_pipeline(faulted_trace, workers=workers, collect_connections=True)
-        assert parallel == serial
-        assert parallel.failure_stats == serial.failure_stats
-        assert parallel.classified == serial.classified
+        reference = ContextStudy(faulted_trace).pipeline_result()
+        assert run_pipeline(faulted_trace, workers=1) == reference
+        parallel = run_pipeline(faulted_trace, workers=workers)
+        assert parallel == reference
+        assert parallel.failure_stats == reference.failure_stats
 
     def test_study_surfaces_failure_stats(self, faulted_trace):
         study = ContextStudy(faulted_trace)
@@ -528,28 +532,43 @@ class TestFaultedEndToEnd:
         assert study.breakdown.total == len(faulted_trace.conns)
 
 
+def _crash_shards_in_workers(monkeypatch, shard_ids) -> set[int]:
+    """Make the named household shards raise in any forked worker.
+
+    The parent's serial retry runs the same function in the parent
+    process, where it succeeds — the recovery the supervisor promises.
+    Returns the set the parent fills with the shard ids it retried.
+    """
+    stream_shard = parallel_mod._stream_shard
+    parent_pid = os.getpid()
+    retried: set[int] = set()
+
+    def crashing(task):
+        if os.getpid() == parent_pid:
+            retried.add(task.shard_id)
+        elif task.shard_id in shard_ids:
+            raise RuntimeError(f"injected crash for shard {task.shard_id}")
+        return stream_shard(task)
+
+    monkeypatch.setattr(parallel_mod, "_stream_shard", crashing)
+    monkeypatch.setattr(parallel_mod, "_available_cpus", lambda: 4)
+    return retried
+
+
 class TestCrashRecovery:
     def test_crashed_shard_is_recovered_serially(self, faulted_trace, monkeypatch):
-        serial = run_pipeline(faulted_trace, workers=1, collect_connections=True)
-        monkeypatch.setattr(
-            parallel_mod, "_CRASH_SHARDS_FOR_TESTING", frozenset({0})
-        )
-        recovered = run_pipeline(faulted_trace, workers=2, collect_connections=True)
-        assert recovered == serial
-        assert recovered.recovered_shards == (0,)
-        assert recovered.partial_recovery
-        assert not serial.partial_recovery
+        reference = ContextStudy(faulted_trace).pipeline_result()
+        retried = _crash_shards_in_workers(monkeypatch, {0})
+        assert run_pipeline(faulted_trace, workers=2) == reference
+        assert retried == {0}
 
     def test_every_shard_crashing_still_completes(self, faulted_trace, monkeypatch):
-        serial = run_pipeline(faulted_trace, workers=1)
-        monkeypatch.setattr(
-            parallel_mod,
-            "_CRASH_SHARDS_FOR_TESTING",
-            frozenset(range(64)),
-        )
-        recovered = run_pipeline(faulted_trace, workers=2)
-        assert recovered == serial
-        assert len(recovered.recovered_shards) == recovered.shards
+        reference = ContextStudy(faulted_trace).pipeline_result()
+        # Two workers cut min(8, houses) shards: one per household here.
+        every_shard = set(range(FAULTED_CONFIG.houses))
+        retried = _crash_shards_in_workers(monkeypatch, every_shard)
+        assert run_pipeline(faulted_trace, workers=2) == reference
+        assert retried == every_shard
 
 
 DNS_HEADER_AND_ROW = (

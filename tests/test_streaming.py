@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 from tests.strategies import trace_streams
 
+from repro.core.classify import ClassifierConfig
+from repro.core.context import ContextStudy, StudyOptions
 from repro.core.pairing import DnsIndex, Pairer, PairingPolicy, pair_trace
-from repro.core.parallel import run_pipeline, run_streaming_summary
+from repro.core.parallel import run_streaming_summary
 from repro.core.streaming import (
     StreamingAnalyzer,
     StreamingConfig,
@@ -96,7 +98,9 @@ class TestConfigValidation:
 
     def test_rejects_nonpositive_blocking_threshold(self):
         with pytest.raises(AnalysisError):
-            StreamingConfig(blocking_threshold=0.0)
+            StreamingConfig(
+                options=StudyOptions(classifier=ClassifierConfig(blocking_threshold=0.0))
+            )
 
 
 class TestFinalizeContracts:
@@ -265,9 +269,9 @@ class TestAnalyzerBehaviour:
         slow = StreamingConfig(drain_interval_s=3600.0)
         fast_result = finalize_result(analyze_stream(trace.dns, trace.conns, fast), fast)
         slow_result = finalize_result(analyze_stream(trace.dns, trace.conns, slow), slow)
-        batch = run_pipeline(trace, workers=1)
-        assert fast_result.census == slow_result.census == batch.census
-        assert fast_result.gap_analysis == slow_result.gap_analysis == batch.gap_analysis
+        reference = ContextStudy(trace).pipeline_result()
+        assert fast_result.census == slow_result.census == reference.census
+        assert fast_result.gap_analysis == slow_result.gap_analysis == reference.gap_analysis
         # Faster draining can only lower the index high-water mark.
         assert fast_result.peak_live_records <= slow_result.peak_live_records
 

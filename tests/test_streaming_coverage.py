@@ -15,6 +15,8 @@ import sys
 import pytest
 
 import repro.core.streaming as streaming_module
+from repro.core.classify import ClassifierConfig
+from repro.core.context import StudyOptions
 from repro.core.streaming import (
     StreamingAnalyzer,
     StreamingConfig,
@@ -138,7 +140,9 @@ def _exercise_engine() -> None:
     for bad in (
         lambda: StreamingConfig(drain_interval_s=0.0),
         lambda: StreamingConfig(window_s=-5.0),
-        lambda: StreamingConfig(blocking_threshold=-1.0),
+        lambda: StreamingConfig(
+            options=StudyOptions(classifier=ClassifierConfig(blocking_threshold=-1.0))
+        ),
         lambda: StreamingState.merge([]),
         lambda: StreamingState.merge(
             [StreamingState(exact=True), StreamingState(exact=False)]

@@ -1,10 +1,12 @@
-"""Differential streaming≡batch harness.
+"""Differential streaming≡reference harness.
 
-The batch pipeline is the oracle: for every golden scenario (three
-seeds, each under the default, fault-injected, and cache-pressure
+The per-connection reference is the oracle: for every golden scenario
+(three seeds, each under the default, fault-injected, and cache-pressure
 configurations) the exact-mode streaming engine must reproduce
-:func:`repro.core.parallel.run_pipeline` *byte-identically* — equal
-analysis objects AND an equal rendered report, through both the serial
+:meth:`repro.core.context.ContextStudy.pipeline_result`
+*byte-identically* — equal analysis objects AND an equal rendered
+report — through :func:`repro.core.parallel.run_pipeline` and
+:func:`repro.core.parallel.run_streaming_pipeline`, on both the serial
 one-pass path and the household-sharded merge path.
 
 Window invariance rides along: for any window W no smaller than the
@@ -19,6 +21,7 @@ from tests.strategies import trace_streams
 
 from hypothesis import given, settings
 
+from repro.core.context import ContextStudy
 from repro.core.parallel import run_pipeline, run_streaming_pipeline
 from repro.core.streaming import StreamingConfig, analyze_stream
 from repro.report.tables import render_pipeline_report
@@ -28,6 +31,7 @@ from repro.workload.scenario import FaultConfig, PressureConfig, ScenarioConfig
 pytestmark = pytest.mark.slow
 
 SEEDS = (1, 2, 3)
+VARIANTS = ("default", "faults", "pressure")
 
 HOUSES = 3
 DURATION_S = 6 * 3600.0
@@ -69,34 +73,42 @@ def _trace(seed: int, variant: str):
     return generate_trace(config)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("variant", ("default", "faults", "pressure"))
-def test_streaming_exact_matches_batch(seed, variant):
-    trace = _trace(seed, variant)
-    batch = run_pipeline(trace, workers=1)
-    streamed = run_streaming_pipeline(trace.dns, trace.conns, workers=1)
-    assert streamed == batch
+def _assert_matches_reference(result, reference) -> None:
+    assert result == reference
     # Byte-identical report, not just equal objects: the renderer's
     # sorted sections must erase any dict-ordering difference between
     # the engines.
-    assert render_pipeline_report(streamed) == render_pipeline_report(batch)
+    assert render_pipeline_report(result) == render_pipeline_report(reference)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_streaming_exact_matches_batch(seed, variant):
+    trace = _trace(seed, variant)
+    reference = ContextStudy(trace).pipeline_result()
+    _assert_matches_reference(run_pipeline(trace), reference)
+    _assert_matches_reference(
+        run_streaming_pipeline(trace.dns, trace.conns, workers=1), reference
+    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sharded_streaming_matches_batch(seed):
-    trace = _trace(seed, "default")
-    batch = run_pipeline(trace, workers=1)
-    sharded = run_streaming_pipeline(trace.dns, trace.conns, workers=2)
-    assert sharded == batch
-    assert render_pipeline_report(sharded) == render_pipeline_report(batch)
+    for variant in VARIANTS:
+        trace = _trace(seed, variant)
+        reference = ContextStudy(trace).pipeline_result()
+        _assert_matches_reference(run_pipeline(trace, workers=2), reference)
+        _assert_matches_reference(
+            run_streaming_pipeline(trace.dns, trace.conns, workers=2), reference
+        )
 
 
 def _max_reachback_s(trace) -> float:
     """The largest completion→connection gap any pairing used."""
-    result = run_pipeline(trace, workers=1, collect_connections=True)
-    assert result.paired is not None
     return max(
-        item.gap for item in result.paired if item.gap is not None and item.gap > 0
+        item.gap
+        for item in ContextStudy(trace).paired
+        if item.gap is not None and item.gap > 0
     )
 
 
