@@ -83,7 +83,7 @@ from repro.report.tables import (
     render_table3,
 )
 from repro.simulation.faults import FaultConfig
-from repro.workload.generate import generate_trace, generate_trace_with_pressure
+from repro.workload.generate import collector_paused, generate_trace, generate_trace_with_pressure
 from repro.workload.scenario import PressureConfig, ScenarioConfig
 
 # sysexits.h-style codes: data errors, usage errors, missing inputs,
@@ -793,18 +793,22 @@ def _exit_code_for(error: ReproError) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ReproError as error:
-        if args.debug:
-            raise
-        print(f"repro-dns: error: {error}", file=sys.stderr)
-        return _exit_code_for(error)
-    except OSError as error:
-        if args.debug:
-            raise
-        print(f"repro-dns: error: {error}", file=sys.stderr)
-        return EXIT_NOINPUT
+    # The job makes no cyclic garbage beyond what generation reclaims
+    # itself, so automatic collector passes would only re-walk the
+    # trace (see collector_paused).
+    with collector_paused():
+        try:
+            return args.func(args)
+        except ReproError as error:
+            if args.debug:
+                raise
+            print(f"repro-dns: error: {error}", file=sys.stderr)
+            return _exit_code_for(error)
+        except OSError as error:
+            if args.debug:
+                raise
+            print(f"repro-dns: error: {error}", file=sys.stderr)
+            return EXIT_NOINPUT
 
 
 if __name__ == "__main__":

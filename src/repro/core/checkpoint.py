@@ -14,7 +14,7 @@ report byte-identical to an uninterrupted run.
 **File format.** One self-describing ASCII JSON header line followed by
 a pickle payload::
 
-    {"magic": "repro-stream-ckpt", "version": 1, "config": <sha256>,
+    {"magic": "repro-stream-ckpt", "version": 2, "config": <sha256>,
      "event_ts": T, "dns_consumed": N, "dns_chain": <sha256>,
      "conn_consumed": M, "conn_chain": <sha256>,
      "payload_bytes": B, "payload_sha256": <sha256>}\n
@@ -67,8 +67,12 @@ from repro.monitor.records import ConnRecord, DnsRecord
 CHECKPOINT_MAGIC = "repro-stream-ckpt"
 """First header field of every checkpoint file."""
 
-CHECKPOINT_VERSION = 1
-"""Bumped on any incompatible change to the header or payload layout."""
+CHECKPOINT_VERSION = 2
+"""Bumped on any incompatible change to the header or payload layout.
+
+Version 2: pairing-index expiry entries hold one shared candidate per
+lookup and its keys, not per-address (key, candidate) pairs.
+"""
 
 DEFAULT_CHECKPOINT_INTERVAL_S = 172800.0
 """Default snapshot cadence in *stream* seconds (48 h of trace time).

@@ -77,7 +77,8 @@ def whole_house_cache_analysis(
         if not entries:
             return False
         cut = bisect.bisect_left(times_index[key], when)
-        for completed, expires in reversed(entries[:cut]):
+        for index in range(cut - 1, -1, -1):
+            completed, expires = entries[index]
             if expires is not None and expires > when:
                 return True
             # Older entries expire even earlier for the same TTL regime;

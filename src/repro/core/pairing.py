@@ -26,7 +26,6 @@ import enum
 import heapq
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,6 +74,13 @@ class PairedConnection:
 
 @dataclass(slots=True)
 class _Candidate:
+    """One answered lookup as the index holds it.
+
+    A lookup has one candidate, shared by the buckets of every (house,
+    address) key its answers name. Nothing mutates it, and buckets,
+    tails and the expiry heap find it by identity, so sharing is exact.
+    """
+
     completed_at: float
     expires_at: float | None
     record: DnsRecord
@@ -85,7 +91,7 @@ class _Candidate:
 class _RecordState:
     """Reference counts keeping one indexed record reachable.
 
-    ``live`` counts the per-address candidates still in the index;
+    ``live`` counts the (house, address) placements still in the index;
     ``tails`` counts the keys where the record is the retained
     expired-fallback tail. A record retires — and is emitted by
     :meth:`DnsIndex.drain_expired` — when both hit zero, at which point
@@ -117,24 +123,19 @@ class DnsIndex:
     drains matches :class:`Pairer` over the full history bit-for-bit.
     """
 
-    def __init__(
-        self, dns_records: Sequence[DnsRecord] = (), retain_records: bool = True
-    ) -> None:
-        self._by_house_address: dict[tuple[str, str], list[_Candidate]] = defaultdict(list)
+    def __init__(self, dns_records: Sequence[DnsRecord] = ()) -> None:
+        self._by_house_address: dict[tuple[str, str], list[_Candidate]] = {}
         self._keys: dict[tuple[str, str], list[float]] = {}
-        self.retain_records = retain_records
-        self.records: list[DnsRecord] = []
         self.failed_records = 0
         self._seq = 0
         self._last_completed_s = -math.inf
         self._drained_to_s = -math.inf
-        # Eviction state: a heap of pending expirations, per-key counts
-        # of already-evicted candidates, per-key expired-fallback tails
+        # Eviction state: a heap of pending expirations (each lookup's
+        # candidate with the keys it sits under), per-key counts of
+        # already-evicted candidates, per-key expired-fallback tails
         # (plus a heap to locate old tails for window trimming), and
         # per-record reachability refcounts.
-        self._expiry_heap: list[
-            tuple[float, int, DnsRecord, list[tuple[tuple[str, str], _Candidate]]]
-        ] = []
+        self._expiry_heap: list[tuple[float, int, _Candidate, list[tuple[str, str]]]] = []
         self._evicted: dict[tuple[str, str], int] = {}
         self._tails: dict[tuple[str, str], _Candidate] = {}
         self._tail_heap: list[tuple[float, int, tuple[str, str], _Candidate]] = []
@@ -148,14 +149,13 @@ class DnsIndex:
         The incremental half of batch construction: the constructor
         sorts and feeds records through this same method.
         """
-        if record.completed_at < self._last_completed_s:
+        completed_at = record.completed_at
+        if completed_at < self._last_completed_s:
             raise AnalysisError(
                 f"DNS records must be offered in completed-time order: "
-                f"{record.completed_at} after {self._last_completed_s}"
+                f"{completed_at} after {self._last_completed_s}"
             )
-        self._last_completed_s = record.completed_at
-        if self.retain_records:
-            self.records.append(record)
+        self._last_completed_s = completed_at
         if record.failed:
             # A timed-out or SERVFAIL transaction delivered no
             # mapping: it must never become a pairing candidate,
@@ -163,26 +163,26 @@ class DnsIndex:
             self.failed_records += 1
             return
         self._seq += 1
-        placements: list[tuple[tuple[str, str], _Candidate]] = []
-        for address in record.addresses():
-            key = (record.orig_h, address)
-            candidate = _Candidate(
-                completed_at=record.completed_at,
-                expires_at=record.expires_at,
-                record=record,
-                seq=self._seq,
-            )
-            self._by_house_address[key].append(candidate)
-            self._keys.setdefault(key, []).append(record.completed_at)
-            placements.append((key, candidate))
-        if not placements:
+        addresses = record.addresses()
+        if not addresses:
             return
+        expires_at = record.expires_at
+        candidate = _Candidate(completed_at, expires_at, record, self._seq)
+        house = record.orig_h
+        keys = [(house, address) for address in addresses]
+        buckets = self._by_house_address
+        for key in keys:
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [candidate]
+                self._keys[key] = [completed_at]
+            else:
+                bucket.append(candidate)
+                self._keys[key].append(completed_at)
         state = self._states.setdefault(record.uid, _RecordState())
-        state.live += len(placements)
-        if record.expires_at is not None:
-            heapq.heappush(
-                self._expiry_heap, (record.expires_at, self._seq, record, placements)
-            )
+        state.live += len(keys)
+        if expires_at is not None:
+            heapq.heappush(self._expiry_heap, (expires_at, self._seq, candidate, keys))
 
     @property
     def live_records(self) -> int:
@@ -290,9 +290,10 @@ class DnsIndex:
         self._drained_to_s = now_s
         retired: list[DnsRecord] = []
         while self._expiry_heap and self._expiry_heap[0][0] <= now_s:
-            _, _, record, placements = heapq.heappop(self._expiry_heap)
+            _, _, candidate, keys = heapq.heappop(self._expiry_heap)
+            record = candidate.record
             state = self._states[record.uid]
-            for key, candidate in placements:
+            for key in keys:
                 self._evict_candidate(key, candidate, retired)
                 state.live -= 1
             if state.live == 0 and state.tails == 0:
@@ -365,9 +366,8 @@ class Pairer:
         policy: PairingPolicy = PairingPolicy.MOST_RECENT,
         rng: random.Random | None = None,
         seed: int = 0,
-        retain_records: bool = True,
     ) -> None:
-        self.index = DnsIndex(dns_records, retain_records=retain_records)
+        self.index = DnsIndex(dns_records)
         self.policy = policy
         self._rng = rng
         self._streams: RandomStreams | None = None

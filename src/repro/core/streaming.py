@@ -440,11 +440,7 @@ class StreamingAnalyzer:
     def __init__(self, config: StreamingConfig | None = None) -> None:
         self.config = config if config is not None else StreamingConfig()
         options = self.config.options
-        self.pairer = Pairer(
-            policy=options.pairing_policy,
-            seed=options.pairing_seed,
-            retain_records=False,
-        )
+        self.pairer = Pairer(policy=options.pairing_policy, seed=options.pairing_seed)
         self._blocking_threshold = options.classifier.blocking_threshold
         self.state = StreamingState(exact=self.config.exact)
         if not self.config.exact:

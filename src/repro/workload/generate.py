@@ -25,10 +25,12 @@ the cross-house data dependency that forced serial generation.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gc
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.core.parallel import (
     PressureStats,
@@ -551,6 +553,30 @@ def _generate(
     return trace, merge_pressure_stats([result.pressure for result in results])
 
 
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the body with CPython's cyclic collector off; restore it after.
+
+    The records every stage builds and keeps (``DnsRecord``,
+    ``ConnRecord``, ``DnsAnswer``) are tuple subclasses, which the
+    collector tracks and never untracks, so each automatic pass re-walks
+    the whole trace and finds nothing: the analysis makes no reference
+    cycles. The only cyclic garbage the program makes is the
+    simulator's per-house state, which generation reclaims itself as it
+    returns (:func:`generate_trace_with_pressure`). ``repro-dns`` runs
+    every job inside this. The caller's collector state comes back even
+    when the body raises, and nesting leaves it off until the outermost
+    exit.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def generate_trace(
     config: ScenarioConfig, shards: int | None = None, workers: int = 1
 ) -> Trace:
@@ -558,19 +584,10 @@ def generate_trace(
 
     ``shards``/``workers`` fan the scenario's houses out over fork
     workers; the result is byte-identical for every combination (the
-    golden parity tests pin this). Generation allocates millions of
-    short-lived, acyclic objects; the cyclic collector only adds
-    pauses, so it is suspended for the run (and restored even on
-    failure). Reference counting still frees everything promptly.
+    golden parity tests pin this).
     """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        trace, _ = _generate(config, shards, workers)
-        return trace
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    trace, _ = generate_trace_with_pressure(config, shards, workers)
+    return trace
 
 
 def generate_trace_with_pressure(
@@ -578,15 +595,22 @@ def generate_trace_with_pressure(
 ) -> tuple[Trace, PressureStats]:
     """Generate the trace for *config* and its pressure tally.
 
-    Same gc discipline and fan-out contract as :func:`generate_trace`;
-    use this variant when the cache/budget counters matter (pressure
-    sweeps, benchmarks). The tally is summed per house and merged, so
-    it too is independent of the shard/worker split.
+    Same fan-out contract as :func:`generate_trace`; use this variant
+    when the cache/budget counters matter (pressure sweeps, benchmarks).
+    The tally is summed per house and merged, so it too is independent
+    of the shard/worker split.
+
+    Generation runs under :func:`collector_paused`. The simulator's
+    per-house state is cyclic — ``House``/``Device`` back-references,
+    self-rescheduling app closures held by the engine queue, CDN
+    providers that call back into the ``NameUniverse`` — and is garbage
+    once :func:`_generate` returns. Everything generation allocated is
+    still in the collector's youngest generation, so one young pass
+    reclaims all of it. After a fork fan-out the parent's scenario
+    set-up sits in the oldest generation (``gc.freeze()``) and waits for
+    a later full pass: a fixed amount per call, not per record.
     """
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _generate(config, shards, workers)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    with collector_paused():
+        generated = _generate(config, shards, workers)
+        gc.collect(0)
+    return generated

@@ -34,6 +34,15 @@ RCODES = ("NOERROR", "NOERROR", "NOERROR", "NXDOMAIN", "SERVFAIL", "-")
 
 
 @st.composite
+def dns_answers(draw, max_ttl_s: float = 600.0):
+    """One answer record: mostly an A record from :data:`SERVERS`, else a CNAME."""
+    ttl = draw(st.floats(min_value=1.0, max_value=max_ttl_s))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        return DnsAnswer(data="edge.cdn.example.net", ttl=ttl, rtype="CNAME")
+    return DnsAnswer(data=draw(st.sampled_from(SERVERS)), ttl=ttl)
+
+
+@st.composite
 def dns_record_streams(
     draw,
     min_size: int = 0,
@@ -45,9 +54,11 @@ def dns_record_streams(
     """A ``ts``-ordered list of DNS transactions from a few households.
 
     Timestamps advance by bounded nonnegative deltas (ties allowed),
-    answers carry one A record for a server from a small shared pool
-    (so connection streams drawn against the same pool can pair), and
-    rcodes mix successes with NXDOMAIN/SERVFAIL/timeout outcomes.
+    successful answers carry one to three records — A records for
+    servers from a small shared pool (so connection streams drawn
+    against the same pool can pair; one lookup may repeat an address),
+    or a CNAME, whose TTL still bounds the RRset's expiry — and rcodes
+    mix successes with NXDOMAIN/SERVFAIL/timeout outcomes.
     """
     count = draw(st.integers(min_value=min_size, max_value=max_size))
     records: list[DnsRecord] = []
@@ -56,10 +67,11 @@ def dns_record_streams(
         now_s += draw(st.floats(min_value=0.0, max_value=max_gap_s))
         rcode = draw(st.sampled_from(RCODES))
         answers: tuple[DnsAnswer, ...] = ()
-        server = draw(st.sampled_from(SERVERS))
         if rcode == "NOERROR":
-            ttl = draw(st.floats(min_value=1.0, max_value=max_ttl_s))
-            answers = (DnsAnswer(data=server, ttl=ttl),)
+            answers = tuple(
+                draw(dns_answers(max_ttl_s))
+                for _ in range(draw(st.integers(min_value=1, max_value=3)))
+            )
         records.append(
             DnsRecord(
                 ts=now_s,
@@ -113,10 +125,8 @@ def conn_record_streams(
                 uid=f"C{index}",
                 orig_h=source.orig_h if source is not None else draw(st.sampled_from(HOUSES)),
                 orig_p=50000 + index,
-                resp_h=(
-                    source.addresses()[0]
-                    if source is not None
-                    else draw(st.sampled_from(SERVERS))
+                resp_h=draw(
+                    st.sampled_from(source.addresses() if source is not None else SERVERS)
                 ),
                 resp_p=443,
                 proto=Proto.TCP,

@@ -115,6 +115,38 @@ def test_resume_parity_across_seeded_kill_points(trace, tmp_path):
     assert resumed_at_least_once
 
 
+def test_resume_keeps_one_candidate_per_lookup(trace, tmp_path):
+    """A lookup's one pairing candidate, shared by the bucket of every
+    (house, address) key its answers name, is still one object after a
+    checkpoint load, and the resumed run renders the uninterrupted report."""
+    path = str(tmp_path / "shared.ckpt")
+    checkpoint = _crash_and_leave_checkpoint(
+        trace, path, (len(trace.dns) + len(trace.conns)) // 2
+    )
+    _, analyzer, _ = load_checkpoint(path, config_digest(StreamingConfig()))
+    index = analyzer.pairer.index
+    multi_address = [
+        (candidate, keys)
+        for _, _, candidate, keys in index._expiry_heap
+        if len(set(keys)) > 1
+    ]
+    assert multi_address, "no live multi-address lookup at the snapshot"
+    for candidate, keys in multi_address:
+        for key in keys:
+            assert any(item is candidate for item in index._by_house_address[key])
+    baseline = render_pipeline_report(run_streaming_pipeline(trace.dns, trace.conns))
+    telemetry = CheckpointTelemetry()
+    result = run_streaming_pipeline(
+        trace.dns,
+        trace.conns,
+        checkpoint=checkpoint,
+        resume=True,
+        checkpoint_telemetry=telemetry,
+    )
+    assert telemetry.resumed
+    assert render_pipeline_report(result) == baseline
+
+
 def test_sketch_summary_resume_parity(trace, tmp_path):
     baseline = render_streaming_summary(
         run_streaming_summary(trace.dns, trace.conns)

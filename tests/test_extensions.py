@@ -1,6 +1,8 @@
 """Tests for the extension features: adaptive refresh, encrypted DNS, CLI."""
 
 import dataclasses
+import gc
+import os
 
 import pytest
 
@@ -8,9 +10,13 @@ from repro.core.classify import Classifier, ConnClass
 from repro.core.context import ContextStudy
 from repro.core.improvements import RefreshSimulator
 from repro.core.pairing import pair_trace
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, WorkloadError
 from repro.monitor.records import ConnRecord, DnsAnswer, DnsRecord, Proto
-from repro.workload.generate import generate_trace
+from repro.workload.generate import (
+    TrafficGenerator,
+    generate_trace,
+    generate_trace_with_pressure,
+)
 from repro.workload.households import HouseholdMixConfig
 from repro.workload.scenario import smoke_scenario
 
@@ -140,7 +146,100 @@ class TestEncryptedDns:
             HouseholdMixConfig(encrypted_dns_fraction=2.0)
 
 
+@pytest.fixture
+def collector_state():
+    """Set the caller's collector state for a test; restore it afterwards."""
+    was_enabled = gc.isenabled()
+
+    def set_state(enabled: bool) -> None:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    yield set_state
+    set_state(was_enabled)
+
+
+@pytest.fixture(scope="class")
+def logs_with_checkpoint(tmp_path_factory):
+    """Small dns/conn logs plus a checkpoint a finished streaming run left."""
+    from repro.cli import main
+    from repro.core.checkpoint import CheckpointConfig, run_checkpointed_stream
+    from repro.monitor.logs import iter_conn_log, iter_dns_log
+
+    out = str(tmp_path_factory.mktemp("collector"))
+    assert main(["generate", "--houses", "3", "--hours", "1", "--seed", "2", "--out", out]) == 0
+    dns_path, conn_path = f"{out}/dns.log", f"{out}/conn.log"
+    checkpoint = CheckpointConfig(path=f"{out}/ck.bin", interval_s=60.0)
+    run_checkpointed_stream(
+        iter_dns_log(dns_path), iter_conn_log(conn_path), checkpoint=checkpoint
+    )
+    assert os.path.exists(checkpoint.path)
+    return dns_path, conn_path, checkpoint.path
+
+
 class TestCli:
+    @pytest.mark.parametrize("caller_enabled", [True, False], ids=["caller-on", "caller-off"])
+    @pytest.mark.parametrize(
+        "case, status, message",
+        [
+            pytest.param("success", 0, "", id="success"),
+            pytest.param("config-mismatch", 65, "config digest mismatch", id="config-mismatch"),
+            pytest.param("missing-log", 66, "No such file", id="missing-log"),
+        ],
+    )
+    def test_main_restores_collector_state(
+        self, logs_with_checkpoint, collector_state, monkeypatch, capsys,
+        case, status, message, caller_enabled,
+    ):
+        """The job runs with the cyclic collector off; main hands back the
+        caller's state whether the job succeeds or exits on an error."""
+        from repro import cli
+
+        dns_path, conn_path, checkpoint_path = logs_with_checkpoint
+        argv = {
+            "success": ["analyze", "--dns", dns_path, "--conn", conn_path],
+            "config-mismatch": [
+                "analyze", "--streaming", "--dns", dns_path, "--conn", conn_path,
+                "--checkpoint", checkpoint_path, "--resume", "--window-s", "60",
+            ],
+            "missing-log": ["analyze", "--dns", dns_path + ".missing", "--conn", conn_path],
+        }[case]
+        during = []
+        cmd_analyze = cli.cmd_analyze
+
+        def recording(args):
+            during.append(gc.isenabled())
+            return cmd_analyze(args)
+
+        monkeypatch.setattr(cli, "cmd_analyze", recording)
+        collector_state(caller_enabled)
+        assert cli.main(argv) == status
+        assert gc.isenabled() is caller_enabled
+        assert during == [False]
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("caller_enabled", [True, False], ids=["caller-on", "caller-off"])
+    @pytest.mark.parametrize(
+        "generate", [generate_trace, generate_trace_with_pressure], ids=lambda f: f.__name__
+    )
+    def test_generation_restores_collector_state_when_it_raises(
+        self, collector_state, monkeypatch, generate, caller_enabled
+    ):
+        during = []
+
+        def failing_run(self):
+            during.append(gc.isenabled())
+            raise WorkloadError("simulated generation failure")
+
+        monkeypatch.setattr(TrafficGenerator, "run", failing_run)
+        collector_state(caller_enabled)
+        with pytest.raises(WorkloadError, match="simulated"):
+            generate(smoke_scenario())
+        assert gc.isenabled() is caller_enabled
+        assert during == [False]
+
     def test_generate_and_analyze(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -38,6 +38,16 @@ def reference_pair(dns_records, conn):
 
 
 @st.composite
+def answers(draw):
+    """An A record from the small address pool (so one lookup may repeat
+    an address), or a CNAME that only shortens the RRset's expiry."""
+    ttl = draw(st.floats(min_value=0, max_value=500))
+    if draw(st.integers(0, 3)) == 0:
+        return DnsAnswer("edge.example.net", ttl, "CNAME")
+    return DnsAnswer(draw(st.sampled_from(ADDRESSES)), ttl, "A")
+
+
+@st.composite
 def traces(draw):
     dns_records = []
     for i in range(draw(st.integers(0, 12))):
@@ -52,13 +62,7 @@ def traces(draw):
                 resp_p=53,
                 query=f"name{draw(st.integers(0, 3))}.example.com",
                 rtt=draw(st.floats(min_value=0, max_value=0.5)),
-                answers=(
-                    DnsAnswer(
-                        draw(st.sampled_from(ADDRESSES)),
-                        draw(st.floats(min_value=0, max_value=500)),
-                        "A",
-                    ),
-                ),
+                answers=tuple(draw(st.lists(answers(), min_size=1, max_size=3))),
             )
         )
     conns = []
