@@ -8,9 +8,8 @@ The same cache structure backs three different actors in this library:
 * the **whole-house cache** simulated in §8 of the paper.
 
 Entries are keyed by ``(qname, qtype)`` (case-folded). Every entry keeps
-the absolute expiry time derived from the minimum answer TTL, plus usage
-accounting the analysis layer relies on (first-use detection, expired-use
-detection).
+its absolute deadlines (see below), plus usage accounting the analysis
+layer relies on (first-use detection, expired-use detection).
 
 Capacity-bounded caches evict under one of three pluggable policies
 (production resolvers differ here, and it matters under pressure):
@@ -27,13 +26,28 @@ Capacity-bounded caches evict under one of three pluggable policies
   stale-window expirations are counted separately in
   :class:`CacheStats` so pressure experiments can report them.
 
-**Expiry-boundary convention** (uniform across every accessor): an
-entry is servable while ``now < expires_at + window`` and gone once
-``now >= expires_at + window``, where ``window`` is the tolerated
-overstay (plus the staleness budget for serve-stale caches). ``get``,
-``probe``, ``purge_expired``, and ``expiring_before`` all use this
-single convention — an entry exactly at the boundary is dropped by a
-purge *and* is a miss on the next lookup, never one without the other.
+**Deadlines are stored at put.** :meth:`DnsCache.put` evaluates the
+entry's overstay and (for serve-stale caches) staleness budget once and
+stores three absolute times on the :class:`CacheEntry`, associated
+left to right::
+
+    expires_at     = stored_at + ttl
+    servable_until = expires_at + overstay
+    dead_at        = servable_until + stale_budget
+
+The budget is 0 outside serve-stale caches, where ``dead_at ==
+servable_until``. An entry is fresh while ``now < expires_at``, served
+flagged expired while ``now < servable_until``, served stale while
+``now < dead_at``, and gone once ``now >= dead_at``. ``get``,
+``probe``, ``purge_expired``, ``expiring_before`` and eviction all
+compare ``now`` with these same stored numbers, so an entry exactly at
+the boundary is dropped by a purge *and* is a miss on the next lookup,
+never one without the other.
+
+The serve-stale victim search walks the entries in LRU order and
+compares ``now`` with two stored floats per entry, stopping at the
+first dead one: O(capacity) per eviction in the worst case, with no
+per-entry lookups besides the walk itself.
 """
 
 from __future__ import annotations
@@ -85,12 +99,24 @@ def cache_key(qname: DomainName | str, qtype: RRType | int = RRType.A) -> CacheK
 
 @dataclass(slots=True)
 class CacheEntry:
-    """One cached RRset plus bookkeeping."""
+    """One cached RRset plus bookkeeping.
+
+    The deadline fields are computed once by :meth:`DnsCache.put` (see
+    the module docstring for their association and meaning).
+    """
 
     key: CacheKey
     records: tuple[ResourceRecord, ...]
     stored_at: float
     ttl: float  # repro-lint: disable=UNIT001 RFC 1035 field name; DNS TTLs are seconds by definition and every DNS library spells it 'ttl'
+    #: Absolute time at which the entry's TTL runs out.
+    expires_at: float
+    #: ``expires_at`` plus the tolerated overstay.
+    servable_until: float
+    #: Staleness budget as evaluated at store time (0 unless serve-stale).
+    stale_budget: float
+    #: ``servable_until`` plus ``stale_budget``: gone from this instant.
+    dead_at: float
     uses: int = 0
     last_used: float | None = None
     #: Memo for :meth:`aged_records`: ``(remaining, records)`` of the
@@ -98,11 +124,6 @@ class CacheEntry:
     #: remaining TTL, so bursts of probes within the same second (a
     #: browser's parallel fetches) reuse one materialized tuple.
     aged_cache: "tuple[int, tuple[ResourceRecord, ...]] | None" = None
-
-    @property
-    def expires_at(self) -> float:
-        """Absolute time at which the entry's TTL runs out."""
-        return self.stored_at + self.ttl
 
     def is_expired(self, now: float) -> bool:
         """True once *now* passes the entry's expiry."""
@@ -271,11 +292,6 @@ class DnsCache:
             stale_ttl_s = RFC8767_DEFAULT_STALE_TTL_S
         self._stale_ttl_s = stale_ttl_s
         self._entries: OrderedDict[CacheKey, CacheEntry] = OrderedDict()
-        self._overstays: dict[CacheKey, float] = {}
-        #: Staleness budgets, evaluated at store time like overstays.
-        #: Always empty unless the policy is ``"serve-stale"``, which is
-        #: what keeps the hot lookup path free on the default policies.
-        self._stale_budgets: dict[CacheKey, float] = {}
         self.stats = CacheStats()
 
     @property
@@ -308,13 +324,6 @@ class DnsCache:
             return max(0.0, float(self._stale_ttl_s(key)))
         return max(0.0, float(self._stale_ttl_s))
 
-    def _drop(self, key: CacheKey) -> None:
-        """Remove *key* and its per-entry windows (no stats changes)."""
-        del self._entries[key]
-        self._overstays.pop(key, None)
-        if self._stale_budgets:
-            self._stale_budgets.pop(key, None)
-
     def _evict_one(self, now: float) -> None:
         """Evict one entry under capacity pressure, per the policy.
 
@@ -323,35 +332,29 @@ class DnsCache:
           soonest — already-expired entries naturally sort first (O(n),
           acceptable at simulation scale and only paid when over
           capacity).
-        * ``"serve-stale"`` reclaims fully-dead entries (past even the
-          staleness budget) first, then the least-recently-used stale
-          entry, and only then falls back to plain LRU — RFC 8767's
-          "stale data is better than no data" applied to eviction.
+        * ``"serve-stale"`` reclaims the least-recently-used fully-dead
+          entry (past even the staleness budget) first, then the
+          least-recently-used stale entry, and only then falls back to
+          plain LRU — RFC 8767's "stale data is better than no data"
+          applied to eviction.
         """
         entries = self._entries
         if self._policy == "lru":
-            victim, _ = entries.popitem(last=False)
+            entries.popitem(last=False)
         elif self._policy == "ttl-aware":
             victim = min(entries.values(), key=lambda e: e.expires_at).key
             del entries[victim]
         else:
-            victim = None
             stale_fallback = None
-            for key, entry in entries.items():  # LRU order, least recent first
-                servable_until = entry.expires_at + self._overstays.get(key, 0.0)
-                if now >= servable_until + self._stale_budgets.get(key, 0.0):
-                    victim = key
+            for entry in entries.values():  # LRU order, least recent first
+                if now >= entry.dead_at:
+                    victim = entry.key
                     break
-                if stale_fallback is None and now >= servable_until:
-                    stale_fallback = key
-            if victim is None:
-                victim = stale_fallback
-            if victim is None:
-                victim, _ = entries.popitem(last=False)
+                if stale_fallback is None and now >= entry.servable_until:
+                    stale_fallback = entry.key
             else:
-                del entries[victim]
-        self._overstays.pop(victim, None)
-        self._stale_budgets.pop(victim, None)
+                victim = stale_fallback if stale_fallback is not None else next(iter(entries))
+            del entries[victim]
         self.stats.evictions += 1
 
     def put(
@@ -379,14 +382,23 @@ class DnsCache:
         effective_ttl = max(self._min_ttl_s, effective_ttl)
         if self._max_ttl_s is not None:
             effective_ttl = min(self._max_ttl_s, effective_ttl)
-        entry = CacheEntry(key, records, now, effective_ttl)
+        expires_at = now + effective_ttl
+        servable_until = expires_at + self._overstay_for(key)
+        stale_budget = self._stale_for(key) if self._serves_stale else 0.0
+        entry = CacheEntry(
+            key,
+            records,
+            now,
+            effective_ttl,
+            expires_at,
+            servable_until,
+            stale_budget,
+            servable_until + stale_budget,
+        )
         entries = self._entries
         if key in entries:
             del entries[key]
         entries[key] = entry
-        self._overstays[key] = self._overstay_for(key)
-        if self._serves_stale:
-            self._stale_budgets[key] = self._stale_for(key)
         self.stats.insertions += 1
         if self._capacity is not None:
             while len(entries) > self._capacity:
@@ -396,9 +408,9 @@ class DnsCache:
     def get(self, key: CacheKey, now: float) -> CacheLookup:
         """Probe the cache at time *now*, updating usage accounting.
 
-        The expiry arithmetic is inlined (rather than going through
-        :meth:`CacheEntry.is_expired` / :attr:`CacheEntry.expires_at`)
-        because this is the single hottest call in trace generation.
+        The expiry test is inlined (rather than going through
+        :meth:`CacheEntry.is_expired`) because this is the single hottest
+        call in trace generation.
         """
         entries = self._entries
         stats = self.stats
@@ -406,23 +418,18 @@ class DnsCache:
         if entry is None:
             stats.misses += 1
             return _MISS
-        expires_at = entry.stored_at + entry.ttl
-        expired = now >= expires_at
+        expired = now >= entry.expires_at
         stale = False
         if expired:
-            servable_until = expires_at + self._overstays.get(key, 0.0)
-            if now >= servable_until:
-                # Beyond the tolerated overstay: servable only inside a
-                # staleness budget (RFC 8767); a miss-and-drop otherwise.
-                stale_budget = self._stale_budgets.get(key, 0.0)
-                if stale_budget > 0.0 and now < servable_until + stale_budget:
-                    stale = True
-                else:
-                    self._drop(key)
-                    if stale_budget > 0.0:
-                        stats.stale_expirations += 1
-                    stats.misses += 1
-                    return _MISS
+            if now >= entry.dead_at:
+                del entries[key]
+                if entry.stale_budget > 0.0:
+                    stats.stale_expirations += 1
+                stats.misses += 1
+                return _MISS
+            # Past the tolerated overstay but inside the staleness
+            # budget (RFC 8767): a stale serve.
+            stale = now >= entry.servable_until
         first_use = entry.uses == 0
         entry.uses += 1
         entry.last_used = now
@@ -456,21 +463,16 @@ class DnsCache:
         if entry is None:
             stats.misses += 1
             return (False, False)
-        expires_at = entry.stored_at + entry.ttl
-        expired = now >= expires_at
+        expired = now >= entry.expires_at
         stale = False
         if expired:
-            servable_until = expires_at + self._overstays.get(key, 0.0)
-            if now >= servable_until:
-                stale_budget = self._stale_budgets.get(key, 0.0)
-                if stale_budget > 0.0 and now < servable_until + stale_budget:
-                    stale = True
-                else:
-                    self._drop(key)
-                    if stale_budget > 0.0:
-                        stats.stale_expirations += 1
-                    stats.misses += 1
-                    return (False, False)
+            if now >= entry.dead_at:
+                del entries[key]
+                if entry.stale_budget > 0.0:
+                    stats.stale_expirations += 1
+                stats.misses += 1
+                return (False, False)
+            stale = now >= entry.servable_until
         entry.uses += 1
         entry.last_used = now
         entries.move_to_end(key)
@@ -485,8 +487,8 @@ class DnsCache:
         """Return the entry for *key* without touching usage accounting.
 
         Applies **no** expiry notion at all: callers get the raw entry
-        even when it is past every window (they inspect
-        ``entry.expires_at`` themselves).
+        even when it is past every window (they compare ``now`` with its
+        stored deadlines themselves).
         """
         return self._entries.get(key)
 
@@ -512,58 +514,39 @@ class DnsCache:
         self.stats.insertions -= 1
         return entry
 
-    def _servable_window(self, key: CacheKey) -> float:
-        """Seconds past nominal expiry the entry stays servable.
-
-        The tolerated overstay plus, for serve-stale caches, the
-        per-entry staleness budget — i.e. exactly the window the lookup
-        path honours before dropping the entry.
-        """
-        return self._overstays.get(key, 0.0) + self._stale_budgets.get(key, 0.0)
-
     def purge_expired(self, now: float) -> int:
         """Drop every entry that a lookup at *now* would no longer serve.
 
-        Uses the module-wide **overstay-extended** (and, for serve-stale
-        caches, stale-extended) expiry notion with the uniform ``now >=
-        expires_at + window`` boundary — an entry exactly at the
-        boundary is purged here *and* would have been a miss on the next
-        :meth:`get`, never one without the other.
+        Compares *now* with each entry's stored ``dead_at`` (the
+        overstay- and, for serve-stale caches, stale-extended deadline),
+        the same number :meth:`get` compares with — an entry exactly at
+        the boundary is purged here *and* would have been a miss on the
+        next :meth:`get`, never one without the other.
         """
-        doomed = [
-            key
-            for key, entry in self._entries.items()
-            if now >= entry.expires_at + self._servable_window(key)
-        ]
+        entries = self._entries
+        doomed = [entry for entry in entries.values() if now >= entry.dead_at]
         stats = self.stats
-        for key in doomed:
-            if self._stale_budgets.get(key, 0.0) > 0.0:
+        for entry in doomed:
+            if entry.stale_budget > 0.0:
                 stats.stale_expirations += 1
-            self._drop(key)
+            del entries[entry.key]
         return len(doomed)
 
     def expiring_before(self, deadline: float, nominal: bool = False) -> list[CacheEntry]:
         """Entries a lookup at *deadline* would no longer serve.
 
-        By default this uses the same **overstay/stale-extended** expiry
-        notion as :meth:`get` and :meth:`purge_expired` (an entry is
-        included once ``expires_at + window <= deadline``), so
-        refresh-on-expiry simulations never treat a still-servable entry
-        as gone. Pass ``nominal=True`` for the raw-TTL notion
-        (``expires_at < deadline``, ignoring overstay and staleness),
-        which is what refresh schedulers planning *ahead of* expiry
-        want.
+        By default this compares with the same stored ``dead_at`` as
+        :meth:`get` and :meth:`purge_expired` (an entry is included once
+        ``dead_at <= deadline``), so refresh-on-expiry simulations never
+        treat a still-servable entry as gone. Pass ``nominal=True`` for
+        the raw-TTL notion (``expires_at < deadline``, ignoring overstay
+        and staleness), which is what refresh schedulers planning *ahead
+        of* expiry want.
         """
         if nominal:
             return [entry for entry in self._entries.values() if entry.expires_at < deadline]
-        return [
-            entry
-            for key, entry in self._entries.items()
-            if entry.expires_at + self._servable_window(key) <= deadline
-        ]
+        return [entry for entry in self._entries.values() if entry.dead_at <= deadline]
 
     def clear(self) -> None:
         """Drop all entries (stats are preserved)."""
         self._entries.clear()
-        self._overstays.clear()
-        self._stale_budgets.clear()

@@ -7,6 +7,7 @@ REFUSED → immediate-failover path in the stub, and the pressure
 configuration/statistics plumbing through scenario generation.
 """
 
+import math
 import random
 from dataclasses import replace
 
@@ -63,6 +64,22 @@ class TestExpiryBoundary:
         assert cache.purge_expired(100.0) == 0
         assert cache.purge_expired(160.0) == 1
         assert cache.stats.stale_expirations == 1
+
+    @pytest.mark.parametrize("accessor", ["purge_expired", "expiring_before"])
+    def test_accessor_and_get_share_one_float_deadline(self, accessor):
+        # In floats (0.1 + 0.2) + 0.3 > 0.6 == 0.1 + (0.2 + 0.3): at 0.6
+        # the lookup path still serves the entry stale, so neither
+        # accessor may report it gone; one ulp later all three agree.
+        def cache():
+            fresh = DnsCache(policy="serve-stale", overstay=0.2, stale_ttl_s=0.3)
+            fresh.put(KEY, records_for("www.example.com"), now=0.0, ttl=0.1)
+            return fresh
+
+        assert not getattr(cache(), accessor)(0.6)
+        assert cache().get(KEY, now=0.6).stale
+        later = math.nextafter(0.6, 1.0)
+        assert getattr(cache(), accessor)(later)
+        assert not cache().get(KEY, now=later).hit
 
     def test_expiring_before_honours_servable_window(self):
         cache = DnsCache(overstay=10.0)

@@ -72,7 +72,7 @@ def test_every_probe_is_one_hit_or_one_miss(policy, ttl, overstay, stale, probes
 @given(ttl=ttls, overstay=windows, stale=windows, now=times)
 def test_serve_stale_never_exceeds_its_budget(ttl, overstay, stale, now):
     cache = _fresh_cache("serve-stale", overstay, stale, ttl)
-    budget = cache._stale_budgets[KEY]  # noqa: SLF001 - includes the RFC default
+    budget = cache.peek(KEY).stale_budget  # includes the RFC default
     lookup = cache.get(KEY, now=now)
     if lookup.stale:
         assert ttl + overstay <= now < ttl + overstay + budget

@@ -14,7 +14,7 @@ seeds fails here immediately; intentional behaviour changes must re-pin
 the digests and say so in the commit.
 
 The scenarios are deliberately tiny (a few houses, one simulated hour,
-a shrunken name universe) so all three run in well under a second. The
+a shrunken name universe) so all four run in well under a second. The
 parity tests below additionally pin the sharding contract itself: the
 digest is invariant across shard counts for default, fault, and
 pressure scenario variants.
@@ -22,6 +22,7 @@ pressure scenario variants.
 
 import pytest
 
+from repro.core.parallel import PressureStats
 from repro.monitor.capture import trace_digest
 from repro.workload.generate import generate_trace, generate_trace_with_pressure
 from repro.workload.scenario import (
@@ -33,6 +34,34 @@ from repro.workload.scenario import (
 
 #: Shrunken universe shared by all golden scenarios.
 _UNIVERSE = UniverseConfig(site_count=30, cdn_host_count=8, ads_host_count=5)
+
+#: Serve-stale caches on both sides under faults, fd budgets and flash
+#: crowds: the only pin that reaches the serve-stale victim rule (the
+#: pressure parity variant below runs LRU caches).
+SERVE_STALE_PIN = (
+    "seed42_serve_stale",
+    ScenarioConfig(
+        houses=3,
+        duration=3600.0,
+        seed=42,
+        universe=_UNIVERSE,
+        faults=FaultConfig(timeout_probability=0.02, servfail_probability=0.02),
+        pressure=PressureConfig(
+            stub_cache_capacity=16,
+            stub_cache_policy="serve-stale",
+            stub_stale_ttl_s=900.0,
+            stub_fd_budget=3,
+            resolver_cache_capacity=48,
+            resolver_cache_policy="serve-stale",
+            resolver_stale_ttl_s=900.0,
+            resolver_fd_budget=8,
+            flash_crowd_rate_per_hour=4.0,
+            flash_crowd_duration_s=120.0,
+            flash_crowd_intensity=4.0,
+        ),
+    ),
+    "461b4c9ada06a87076b389db1790e6de40ef54312ab40b9373e6247cb5267f3f",
+)
 
 GOLDEN = (
     (
@@ -63,6 +92,26 @@ GOLDEN = (
         ),
         "330b2275a973f79de2fb8bb2df11cbffc2f1c748e7c2ff032762dd9377b6ab3c",
     ),
+    SERVE_STALE_PIN,
+)
+
+#: The pressure counters of ``seed42_serve_stale``: evictions, stale
+#: serves and stale expirations count the victim rule's choices.
+SERVE_STALE_STATS = PressureStats(
+    stub_lookups=856,
+    stub_hits=200,
+    stub_evictions=475,
+    stub_stale_serves=56,
+    stub_stale_expirations=16,
+    stub_admitted=568,
+    stub_queued=80,
+    stub_shed=8,
+    resolver_lookups=1249,
+    resolver_hits=882,
+    resolver_evictions=874,
+    resolver_admitted=666,
+    resolver_queued=0,
+    resolver_refused=0,
 )
 
 
@@ -73,6 +122,14 @@ GOLDEN = (
 )
 def test_generation_matches_pinned_digest(config, expected):
     assert trace_digest(generate_trace(config)) == expected
+
+
+@pytest.mark.parametrize("shards", [None, 3])
+def test_serve_stale_pin_holds_with_its_counters(shards):
+    _, config, expected = SERVE_STALE_PIN
+    trace, stats = generate_trace_with_pressure(config, shards=shards)
+    assert trace_digest(trace) == expected
+    assert stats == SERVE_STALE_STATS
 
 
 def test_digest_is_stable_across_runs():

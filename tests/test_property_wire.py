@@ -5,9 +5,9 @@ import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.dns.cache import DnsCache, cache_key
+from repro.dns.cache import EVICTION_POLICIES, CacheStats, DnsCache, cache_key
 from repro.dns.message import Flags, Message, Opcode, Question, Rcode
 from repro.dns.name import DomainName
 from repro.dns.rr import (
@@ -141,63 +141,145 @@ def test_compressed_never_longer_than_naive(message):
     assert len(wire) <= naive
 
 
-class CacheModel(RuleBasedStateMachine):
-    """Model-based test: DnsCache against a plain-dict reference.
+CACHE_CAPACITY = 4
+CACHE_NAMES = [f"name{i}.example.com" for i in range(10)]
+CACHE_KEYS = [cache_key(name) for name in CACHE_NAMES]
+cache_windows = st.lists(
+    st.floats(min_value=0, max_value=60), min_size=len(CACHE_KEYS), max_size=len(CACHE_KEYS)
+)
 
-    The reference ignores capacity (the real cache uses capacity 8), so
-    invariants compare only where the reference and cache agree an entry
-    should exist; expiry semantics must match exactly.
+
+class CacheModel(RuleBasedStateMachine):
+    """Model-based test: DnsCache against a reference that evicts.
+
+    Every step drives one cache per policy in :data:`EVICTION_POLICIES`,
+    all with the same per-name overstays and staleness budgets. More
+    names than capacity keep them evicting. Per policy, the reference
+    holds each entry's deadlines, derived in the documented association,
+    in LRU order and applies the policy's victim rule itself, so it
+    predicts membership, LRU order, every lookup's outcome and every
+    counter exactly.
     """
 
-    def __init__(self):
-        super().__init__()
-        self.cache = DnsCache(capacity=8, overstay=5.0)
-        self.reference: dict = {}
+    @initialize(overstays=cache_windows, budgets=cache_windows)
+    def build(self, overstays, budgets):
+        self.overstays = dict(zip(CACHE_KEYS, overstays))
+        self.budgets = dict(zip(CACHE_KEYS, budgets))
+        self.caches = {
+            policy: DnsCache(
+                capacity=CACHE_CAPACITY,
+                overstay=self.overstays.__getitem__,
+                policy=policy,
+                stale_ttl_s=self.budgets.__getitem__,
+            )
+            for policy in EVICTION_POLICIES
+        }
+        #: Per policy: key -> (expires_at, servable_until, dead_at), least
+        #: recent first.
+        self.references = {policy: {} for policy in EVICTION_POLICIES}
+        self.expected = {policy: CacheStats() for policy in EVICTION_POLICIES}
         self.clock = 0.0
 
-    keys = st.integers(min_value=0, max_value=5)
+    def _budget(self, policy, key) -> float:
+        return self.budgets[key] if policy == "serve-stale" else 0.0
 
-    @rule(which=keys, ttl=st.integers(min_value=1, max_value=100), advance=st.floats(min_value=0, max_value=50))
+    def _victim(self, policy):
+        order = self.references[policy]
+        if policy == "ttl-aware":
+            return min(order, key=lambda key: order[key][0])
+        if policy == "serve-stale":
+            for key, (_, _, dead_at) in order.items():
+                if self.clock >= dead_at:
+                    return key
+            for key, (_, servable_until, _) in order.items():
+                if self.clock >= servable_until:
+                    return key
+        return next(iter(order))
+
+    def _drop_dead(self, policy, key) -> None:
+        del self.references[policy][key]
+        if self._budget(policy, key) > 0.0:
+            self.expected[policy].stale_expirations += 1
+
+    def _lookup(self, policy, key) -> tuple[bool, bool, bool]:
+        """The reference's ``(hit, expired, stale)`` for a lookup now."""
+        order = self.references[policy]
+        expected = self.expected[policy]
+        deadlines = order.get(key)
+        if deadlines is not None and self.clock >= deadlines[2]:
+            self._drop_dead(policy, key)
+            deadlines = None
+        if deadlines is None:
+            expected.misses += 1
+            return (False, False, False)
+        order[key] = order.pop(key)  # now the most recently used
+        expires_at, servable_until, _ = deadlines
+        expired = self.clock >= expires_at
+        stale = self.clock >= servable_until
+        expected.hits += 1
+        expected.expired_hits += expired
+        expected.stale_serves += stale
+        return (True, expired, stale)
+
+    def _purge(self, policy) -> int:
+        """The reference's count of entries a purge now drops."""
+        order = self.references[policy]
+        dead = [key for key, (_, _, dead_at) in order.items() if self.clock >= dead_at]
+        for key in dead:
+            self._drop_dead(policy, key)
+        return len(dead)
+
+    @rule(which=st.integers(0, len(CACHE_KEYS) - 1), ttl=st.integers(1, 100), advance=st.floats(0, 50))
     def put(self, which, ttl, advance):
         self.clock += advance
-        key = cache_key(f"name{which}.example.com")
-        rrset = (a_record(f"name{which}.example.com", "10.0.0.1", ttl),)
-        self.cache.put(key, rrset, self.clock)
-        self.reference[key] = (self.clock, float(ttl))
+        key = CACHE_KEYS[which]
+        rrset = (a_record(CACHE_NAMES[which], "10.0.0.1", ttl),)
+        expires_at = self.clock + float(ttl)
+        servable_until = expires_at + self.overstays[key]
+        for policy, cache in self.caches.items():
+            cache.put(key, rrset, self.clock)
+            order = self.references[policy]
+            order.pop(key, None)
+            order[key] = (
+                expires_at,
+                servable_until,
+                servable_until + self._budget(policy, key),
+            )
+            self.expected[policy].insertions += 1
+            while len(order) > CACHE_CAPACITY:
+                del order[self._victim(policy)]
+                self.expected[policy].evictions += 1
 
-    @rule(which=keys, advance=st.floats(min_value=0, max_value=50))
-    def get(self, which, advance):
+    # One rule for all three accessors: a separate purge rule would run
+    # as often as puts and clear the dead entries before an eviction
+    # could choose among several of them.
+    @rule(
+        which=st.integers(0, len(CACHE_KEYS) - 1),
+        advance=st.floats(0, 50),
+        accessor=st.sampled_from(("get", "probe", "purge_expired")),
+    )
+    def observe(self, which, advance, accessor):
         self.clock += advance
-        key = cache_key(f"name{which}.example.com")
-        lookup = self.cache.get(key, self.clock)
-        model = self.reference.get(key)
-        if model is None:
-            assert not lookup.hit
-            return
-        stored_at, ttl = model
-        expires = stored_at + ttl
-        if self.clock < expires:
-            # Within TTL: a hit unless capacity evicted it.
-            if lookup.hit:
-                assert not lookup.expired
-        elif self.clock < expires + 5.0:
-            # Within the overstay window: if served, it must be flagged.
-            if lookup.hit:
-                assert lookup.expired
-        else:
-            assert not lookup.hit
-            self.reference.pop(key, None)
+        key = CACHE_KEYS[which]
+        for policy, cache in self.caches.items():
+            if accessor == "purge_expired":
+                assert cache.purge_expired(self.clock) == self._purge(policy)
+            elif accessor == "probe":
+                assert cache.probe(key, self.clock) == self._lookup(policy, key)[:2]
+            else:
+                found = cache.get(key, self.clock)
+                assert (found.hit, found.expired, found.stale) == self._lookup(policy, key)
 
     @invariant()
-    def capacity_respected(self):
-        assert len(self.cache) <= 8
+    def lru_order_matches(self):
+        for policy, cache in self.caches.items():
+            assert [entry.key for entry in cache.entries()] == list(self.references[policy])
 
     @invariant()
-    def stats_consistent(self):
-        stats = self.cache.stats
-        assert stats.lookups == stats.hits + stats.misses
-        assert stats.expired_hits <= stats.hits
+    def stats_match(self):
+        for policy, cache in self.caches.items():
+            assert cache.stats == self.expected[policy]
 
 
 TestCacheModel = CacheModel.TestCase
-TestCacheModel.settings = settings(max_examples=40, stateful_step_count=30)
+TestCacheModel.settings = settings(max_examples=60, stateful_step_count=30)
