@@ -100,7 +100,7 @@ def analyze_gaps(
     if not gaps:
         raise AnalysisError("no paired connections: cannot analyse gaps")
     cdf = Cdf.from_values(gaps)
-    knee, excluded = find_gap_knee(gaps, knee_reference)
+    knee, excluded = find_gap_knee(cdf.xs, knee_reference)
     return GapAnalysis(
         cdf=cdf,
         knee=knee,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.classify import BLOCKED_CLASSES, ClassifiedConnection, ConnClass
-from repro.core.stats import Cdf, fraction_above, percentile
+from repro.core.stats import Cdf, fraction_above
 from repro.errors import AnalysisError
 
 ABS_INSIGNIFICANT = 0.020
@@ -53,8 +53,8 @@ def lookup_delay_analysis(classified: list[ClassifiedConnection]) -> LookupDelay
     cdf = Cdf.from_values(values)
     return LookupDelayAnalysis(
         cdf=cdf,
-        median=percentile(values, 50),
-        p75=percentile(values, 75),
+        median=cdf.percentile(50),
+        p75=cdf.percentile(75),
         over_100ms_fraction=fraction_above(values, 0.100),
     )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.core.stats import percentile
+from repro.core.stats import Cdf, percentile
 from repro.errors import AnalysisError
 from repro.monitor.capture import Trace
 from repro.monitor.records import Proto
@@ -92,15 +92,15 @@ def characterize(trace: Trace, top: int = 10) -> PopulationStats:
     ]
     conn_counts = [activity.conns for activity in per_house]
     lookup_counts = [activity.lookups for activity in per_house]
-    ttl_quantiles = (
-        {
-            "p10": percentile(ttls, 10),
-            "p50": percentile(ttls, 50),
-            "p90": percentile(ttls, 90),
+    if ttls:
+        ttl_cdf = Cdf.from_values(ttls)
+        ttl_quantiles = {
+            "p10": ttl_cdf.percentile(10),
+            "p50": ttl_cdf.percentile(50),
+            "p90": ttl_cdf.percentile(90),
         }
-        if ttls
-        else {"p10": 0.0, "p50": 0.0, "p90": 0.0}
-    )
+    else:
+        ttl_quantiles = {"p10": 0.0, "p50": 0.0, "p90": 0.0}
     duration = trace.duration
     if duration <= 0 and trace.conns:
         duration = trace.conns[-1].ts - trace.conns[0].ts

@@ -1,8 +1,11 @@
 """Small statistics helpers used across the analysis layer.
 
-Everything here is intentionally dependency-light (plain Python plus
-numpy for percentile work) and operates on simple sequences, so each
-analysis module stays readable.
+Standard library only. The paper needs a handful of order statistics
+(Figure 1's knee, Figure 2's median and p75, §3's TTL quantiles), so
+each sample is sorted once — a :class:`Cdf` holds it sorted — and every
+statistic reads positions of that sorted list. Percentiles follow
+numpy's default (``linear``, Hyndman–Fan type 7) method to the last
+bit; the tests keep numpy as the reference.
 """
 
 from __future__ import annotations
@@ -12,18 +15,54 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.errors import AnalysisError
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """The *q*-th percentile (0..100) of *values*."""
-    if not values:
-        raise AnalysisError("cannot take a percentile of an empty sequence")
+def _sorted_sample(values: Iterable[float]) -> list[float]:
+    """*values* as an ascending list of floats.
+
+    NaN has no place in an order: ``sorted`` would leave it wherever
+    the comparisons happened to put it and shift every order statistic
+    silently, so it is refused.
+    """
+    xs = sorted(map(float, values))
+    if any(map(math.isnan, xs)):
+        raise AnalysisError("cannot order a sample that contains NaN")
+    return xs
+
+
+def _check_percent(q: float) -> None:
     if not 0.0 <= q <= 100.0:
         raise AnalysisError(f"percentile must be in [0, 100], got {q}")
-    return float(np.percentile(np.asarray(values, dtype=float), q))
+
+
+def _interpolate(xs: Sequence[float], q: float) -> float:
+    """The *q*-th percentile of the ascending, nonempty *xs*.
+
+    numpy's ``linear`` method step for step: the virtual index
+    ``(n - 1) * (q / 100)``, then its ``_lerp``, which switches form at
+    ``gamma >= 0.5`` so the result never overshoots the upper neighbour.
+    """
+    last = len(xs) - 1
+    virtual = last * (q / 100)
+    if virtual >= last:
+        return xs[last]
+    lo = int(virtual)
+    gamma = virtual - lo
+    below = xs[lo]
+    above = xs[lo + 1]
+    diff = above - below
+    if gamma >= 0.5:
+        return above - diff * (1 - gamma)
+    return below + diff * gamma
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """The *q*-th percentile (0..100) of *values* (numpy's linear method)."""
+    if not values:
+        raise AnalysisError("cannot take a percentile of an empty sequence")
+    _check_percent(q)
+    return _interpolate(_sorted_sample(values), q)
 
 
 def fraction(values: Iterable[bool]) -> float:
@@ -64,7 +103,7 @@ class Cdf:
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "Cdf":
         """An empirical CDF over *values* (at least one sample required)."""
-        xs = tuple(sorted(float(v) for v in values))
+        xs = tuple(_sorted_sample(values))
         if not xs:
             raise AnalysisError("cannot build a CDF from no samples")
         return cls(xs)
@@ -90,9 +129,14 @@ class Cdf:
         """The 0.5 quantile of the samples."""
         return self.quantile(0.5)
 
+    def percentile(self, q: float) -> float:
+        """:func:`percentile` of the samples, read without sorting again."""
+        _check_percent(q)
+        return _interpolate(self.xs, q)
+
     def summarize(self) -> dict[str, float]:
         """The :func:`summarize` digest of this CDF's samples."""
-        return summarize(self.xs)
+        return _summary(self.xs)
 
     def series(self, points: int = 200) -> list[tuple[float, float]]:
         """(value, cumulative probability) pairs for plotting/export."""
@@ -351,35 +395,59 @@ def find_knee_detailed(values: Sequence[float], log_x: bool = True) -> KneeResul
     to the **full** sample count, with the excluded mass anchoring the
     left edge of the curve, and the number of excluded samples is
     reported in the result.
+
+    The knee is the sample at the first maximum of the chord distance,
+    returned as stored rather than re-derived from its logarithm (a
+    round trip through ``log10`` can move the last bit). Already sorted
+    input, such as a :class:`Cdf`'s ``xs``, costs one linear pass to
+    re-sort.
     """
     total = len(values)
     if total < 10:
         raise AnalysisError(f"need at least 10 samples to find a knee, got {total}")
-    xs = np.sort(np.asarray(values, dtype=float))
+    xs = _sorted_sample(values)
     excluded = 0
+    axis = xs
     if log_x:
-        positive = xs[xs > 0]
-        if len(positive) < 10:
+        excluded = bisect.bisect_right(xs, 0.0)
+        xs = xs[excluded:]
+        if len(xs) < 10:
             raise AnalysisError("too few positive samples for a log-axis knee")
-        excluded = total - len(positive)
-        xs = np.log10(positive)
-    # Cumulative fraction of the FULL sample at each plotted point; on a
-    # log axis the first plotted point already carries the excluded mass.
-    ys = np.arange(excluded + 1, total + 1) / total
-    x_span = xs[-1] - xs[0]
+        axis = list(map(math.log10, xs))
+    first = axis[0]
+    x_span = axis[-1] - first
     if x_span <= 0:
         raise AnalysisError("degenerate sample range; no knee exists")
-    x_norm = (xs - xs[0]) / x_span
-    distance = ys - x_norm
-    knee_index = int(np.argmax(distance))
-    knee_x = xs[knee_index]
-    knee = float(10 ** knee_x) if log_x else float(knee_x)
+    # Cumulative fraction of the FULL sample at each plotted point; on a
+    # log axis the first plotted point already carries the excluded mass.
+    best = -math.inf
+    knee_rank = excluded + 1
+    for rank, x in enumerate(axis, start=excluded + 1):
+        distance = rank / total - (x - first) / x_span
+        if distance > best:
+            best = distance
+            knee_rank = rank
+    knee = xs[knee_rank - excluded - 1]
     return KneeResult(knee=knee, excluded_samples=excluded, total_samples=total)
 
 
 def find_knee(values: Sequence[float], log_x: bool = True) -> float:
     """The knee location alone (see :func:`find_knee_detailed`)."""
     return find_knee_detailed(values, log_x=log_x).knee
+
+
+def _summary(xs: Sequence[float]) -> dict[str, float]:
+    """:func:`summarize` of an ascending, nonempty sample."""
+    return {
+        "count": float(len(xs)),
+        "min": xs[0],
+        "median": _interpolate(xs, 50),
+        "mean": math.fsum(xs) / len(xs),
+        "p75": _interpolate(xs, 75),
+        "p90": _interpolate(xs, 90),
+        "p99": _interpolate(xs, 99),
+        "max": xs[-1],
+    }
 
 
 def summarize(values: Sequence[float]) -> dict[str, float]:
@@ -391,14 +459,4 @@ def summarize(values: Sequence[float]) -> dict[str, float]:
     """
     if not values:
         raise AnalysisError("cannot summarise an empty sequence")
-    array = np.asarray(values, dtype=float)
-    return {
-        "count": float(len(array)),
-        "min": float(array.min()),
-        "median": float(np.percentile(array, 50)),
-        "mean": math.fsum(array) / len(array),
-        "p75": float(np.percentile(array, 75)),
-        "p90": float(np.percentile(array, 90)),
-        "p99": float(np.percentile(array, 99)),
-        "max": float(array.max()),
-    }
+    return _summary(_sorted_sample(values))

@@ -88,7 +88,7 @@ from repro.core.performance import (
     SignificanceQuadrant,
     quadrant_from_cells,
 )
-from repro.core.stats import Cdf, QuantileSketch, fraction_above, percentile
+from repro.core.stats import Cdf, QuantileSketch, fraction_above
 from repro.errors import AnalysisError
 from repro.monitor.records import ConnRecord, DnsRecord
 
@@ -643,9 +643,10 @@ def finalize_result(
             counts[conn_class] = count
     if not state.gaps:
         raise AnalysisError("no paired connections: cannot analyse gaps")
-    knee, excluded = find_gap_knee(state.gaps, config.knee_reference)
+    gap_cdf = Cdf.from_values(state.gaps)
+    knee, excluded = find_gap_knee(gap_cdf.xs, config.knee_reference)
     gap_analysis = GapAnalysis(
-        cdf=Cdf.from_values(state.gaps),
+        cdf=gap_cdf,
         knee=knee,
         first_use_below_knee=(
             state.first_use_below_hits / state.first_use_below_total
@@ -666,10 +667,11 @@ def finalize_result(
     )
     if not delays:
         raise AnalysisError("no blocked connections: cannot analyse lookup delays")
+    delay_cdf = Cdf.from_values(delays)
     lookup_delays = LookupDelayAnalysis(
-        cdf=Cdf.from_values(delays),
-        median=percentile(delays, 50),
-        p75=percentile(delays, 75),
+        cdf=delay_cdf,
+        median=delay_cdf.percentile(50),
+        p75=delay_cdf.percentile(75),
         over_100ms_fraction=fraction_above(delays, 0.100),
     )
     contribution_analysis = ContributionAnalysis(

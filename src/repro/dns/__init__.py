@@ -6,87 +6,54 @@ paper's measured traffic flows through: stub resolvers with local caches,
 shared recursive resolver platforms, and an authoritative hierarchy.
 """
 
-from repro.dns.cache import CacheEntry, CacheLookup, CacheStats, DnsCache, cache_key
-from repro.dns.message import Flags, Message, Opcode, Question, Rcode, make_query, make_response
-from repro.dns.name import ROOT, DomainName
-from repro.dns.resolver import (
-    RecursiveResolver,
-    ResolutionOutcome,
-    ResolverProfile,
-    StubLookup,
-    StubResolver,
-    build_platform_profiles,
-)
-from repro.dns.rr import (
-    AAAARecordData,
-    ARecordData,
-    MXRecordData,
-    NameRecordData,
-    OpaqueRecordData,
-    ResourceRecord,
-    RRClass,
-    RRType,
-    SOARecordData,
-    SRVRecordData,
-    TXTRecordData,
-    a_record,
-    aaaa_record,
-    cname_record,
-    ns_record,
-)
-from repro.dns.wire import (
-    decode_message,
-    decode_message_stream,
-    encode_message,
-    encode_message_tcp,
-)
-from repro.dns.zone import AuthoritativeServer, DnsHierarchy, Zone
-from repro.dns.zonefile import load_zone_text, parse_zone_text, serialize_records
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AAAARecordData",
-    "ARecordData",
-    "AuthoritativeServer",
-    "CacheEntry",
-    "CacheLookup",
-    "CacheStats",
-    "DnsCache",
-    "DnsHierarchy",
-    "DomainName",
-    "Flags",
-    "MXRecordData",
-    "Message",
-    "NameRecordData",
-    "Opcode",
-    "OpaqueRecordData",
-    "Question",
-    "ROOT",
-    "RRClass",
-    "RRType",
-    "Rcode",
-    "RecursiveResolver",
-    "ResolutionOutcome",
-    "ResolverProfile",
-    "ResourceRecord",
-    "SOARecordData",
-    "SRVRecordData",
-    "StubLookup",
-    "StubResolver",
-    "TXTRecordData",
-    "Zone",
-    "a_record",
-    "aaaa_record",
-    "build_platform_profiles",
-    "cache_key",
-    "cname_record",
-    "decode_message",
-    "decode_message_stream",
-    "encode_message",
-    "encode_message_tcp",
-    "load_zone_text",
-    "make_query",
-    "make_response",
-    "ns_record",
-    "parse_zone_text",
-    "serialize_records",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cache": ("CacheEntry", "CacheLookup", "CacheStats", "DnsCache", "cache_key"),
+        "message": (
+            "Flags",
+            "Message",
+            "Opcode",
+            "Question",
+            "Rcode",
+            "make_query",
+            "make_response",
+        ),
+        "name": ("ROOT", "DomainName"),
+        "resolver": (
+            "RecursiveResolver",
+            "ResolutionOutcome",
+            "ResolverProfile",
+            "StubLookup",
+            "StubResolver",
+            "build_platform_profiles",
+        ),
+        "rr": (
+            "AAAARecordData",
+            "ARecordData",
+            "MXRecordData",
+            "NameRecordData",
+            "OpaqueRecordData",
+            "ResourceRecord",
+            "RRClass",
+            "RRType",
+            "SOARecordData",
+            "SRVRecordData",
+            "TXTRecordData",
+            "a_record",
+            "aaaa_record",
+            "cname_record",
+            "ns_record",
+        ),
+        "wire": (
+            "decode_message",
+            "decode_message_stream",
+            "encode_message",
+            "encode_message_tcp",
+        ),
+        "zone": ("AuthoritativeServer", "DnsHierarchy", "Zone"),
+        "zonefile": ("load_zone_text", "parse_zone_text", "serialize_records"),
+    },
+)

@@ -60,7 +60,14 @@ from array import array
 from typing import IO, Iterable, Iterator
 
 from repro.errors import LogFormatError
-from repro.monitor.records import ConnRecord, DnsAnswer, DnsRecord, Proto
+from repro.monitor.records import (
+    ConnRecord,
+    DnsAnswer,
+    DnsRecord,
+    Proto,
+    check_elapsed_column,
+    check_finite_column,
+)
 
 # repro.core.checkpoint sits above repro.monitor in the import graph
 # (it pulls in the streaming engine, which consumes monitor records),
@@ -244,10 +251,11 @@ def _decode_dns_block(buffer, count: int) -> list[DnsRecord]:
     answer_data, offset = _read_array(buffer, offset, "I", total)
     answer_ttl, offset = _read_array(buffer, offset, "d", total)
     answer_type, offset = _read_array(buffer, offset, "I", total)
-    # Boundary validation (the records are plain NamedTuples): one
-    # C-speed scan per block replaces a per-record __post_init__.
-    if count and min(rtt) < 0:
-        raise LogFormatError("binlog rtt cannot be negative")
+    # Boundary validation (the records are plain NamedTuples): C-speed
+    # scans per column replace a per-record __post_init__.
+    check_finite_column("ts", ts)
+    check_elapsed_column("rtt", rtt)
+    check_finite_column("answer TTL", answer_ttl)
     # Bulk construction: every per-record loop below runs in C (map /
     # slicing); decode wall time is dominated by the tuple constructors
     # themselves. See DESIGN §17.
@@ -351,8 +359,8 @@ def _decode_conn_block(buffer, count: int) -> list[ConnRecord]:
     service, offset = _read_array(buffer, offset, "I", count)
     conn_state, offset = _read_array(buffer, offset, "I", count)
     # Boundary validation + bulk construction; see _decode_dns_block.
-    if count and min(duration) < 0:
-        raise LogFormatError("binlog duration cannot be negative")
+    check_finite_column("ts", ts)
+    check_elapsed_column("duration", duration)
     get = strings.__getitem__
     return list(
         map(
@@ -489,7 +497,11 @@ def _iter_blocks(buffer, expect_kind: int, verify: bool) -> Iterator[list]:
             raise LogFormatError(f"binlog block {block}: truncated payload")
         if verify and zlib.crc32(payload) != checksum:
             raise LogFormatError(f"binlog block {block}: checksum mismatch")
-        yield decode(payload, count)
+        try:
+            records = decode(payload, count)
+        except ValueError as exc:
+            raise LogFormatError(f"binlog block {block}: {exc}") from exc
+        yield records
         seen += count
         offset += payload_len
         block += 1

@@ -13,7 +13,14 @@ import json
 from typing import IO, Iterable
 
 from repro.errors import LogFormatError
-from repro.monitor.records import ConnRecord, DnsAnswer, DnsRecord, Proto
+from repro.monitor.records import (
+    ConnRecord,
+    DnsAnswer,
+    DnsRecord,
+    Proto,
+    check_elapsed,
+    check_finite,
+)
 
 
 def dns_record_to_json(record: DnsRecord) -> str:
@@ -87,18 +94,24 @@ def read_dns_json(stream: IO[str]) -> list[DnsRecord]:
             raise LogFormatError(
                 f"line {number}: {len(answers_data)} answers but {len(ttls)} TTLs"
             )
-        answers = tuple(
-            DnsAnswer(
-                data=str(data),
-                ttl=float(ttls[i]) if ttls else 0.0,
-                rtype=str(types[i]) if i < len(types) else "A",
-            )
-            for i, data in enumerate(answers_data)
-        )
         try:
+            answers = tuple(
+                DnsAnswer(
+                    data=str(data),
+                    ttl=float(ttls[i]) if ttls else 0.0,
+                    rtype=str(types[i]) if i < len(types) else "A",
+                )
+                for i, data in enumerate(answers_data)
+            )
+            ts = float(_require(payload, "ts", number))
+            rtt = float(payload.get("rtt", 0.0))
+            check_finite("ts", ts)
+            check_elapsed("rtt", rtt)
+            for answer in answers:
+                check_finite("answer TTL", answer.ttl)
             records.append(
                 DnsRecord(
-                    ts=float(_require(payload, "ts", number)),
+                    ts=ts,
                     uid=str(_require(payload, "uid", number)),
                     orig_h=str(_require(payload, "id.orig_h", number)),
                     orig_p=int(_require(payload, "id.orig_p", number)),
@@ -108,7 +121,7 @@ def read_dns_json(stream: IO[str]) -> list[DnsRecord]:
                     query=str(_require(payload, "query", number)),
                     qtype=str(payload.get("qtype_name", "A")),
                     rcode=str(payload.get("rcode_name", "NOERROR")),
-                    rtt=float(payload.get("rtt", 0.0)),
+                    rtt=rtt,
                     answers=answers,
                 )
             )
@@ -126,9 +139,17 @@ def read_conn_json(stream: IO[str]) -> list[ConnRecord]:
             continue
         payload = _load_line(line, number)
         try:
+            ts = float(_require(payload, "ts", number))
+            duration = float(payload.get("duration", 0.0))
+            orig_bytes = int(payload.get("orig_bytes", 0))
+            resp_bytes = int(payload.get("resp_bytes", 0))
+            check_finite("ts", ts)
+            check_elapsed("duration", duration)
+            if orig_bytes < 0 or resp_bytes < 0:
+                raise ValueError("byte counts cannot be negative")
             records.append(
                 ConnRecord(
-                    ts=float(_require(payload, "ts", number)),
+                    ts=ts,
                     uid=str(_require(payload, "uid", number)),
                     orig_h=str(_require(payload, "id.orig_h", number)),
                     orig_p=int(_require(payload, "id.orig_p", number)),
@@ -136,9 +157,9 @@ def read_conn_json(stream: IO[str]) -> list[ConnRecord]:
                     resp_p=int(_require(payload, "id.resp_p", number)),
                     proto=Proto.parse(str(_require(payload, "proto", number))),
                     service=str(payload.get("service", "-")),
-                    duration=float(payload.get("duration", 0.0)),
-                    orig_bytes=int(payload.get("orig_bytes", 0)),
-                    resp_bytes=int(payload.get("resp_bytes", 0)),
+                    duration=duration,
+                    orig_bytes=orig_bytes,
+                    resp_bytes=resp_bytes,
                     conn_state=str(payload.get("conn_state", "SF")),
                 )
             )

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator
 
 from repro.errors import LogFormatError
-from repro.monitor.records import ConnRecord, DnsAnswer, DnsRecord, Proto
+from repro.monitor.records import (
+    ConnRecord,
+    DnsAnswer,
+    DnsRecord,
+    Proto,
+    check_elapsed,
+    check_finite,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,12 +241,15 @@ def _dns_from_columns(
     )
     rtt_text = _field(columns, index_by_name, "rtt", number)
     rtt = 0.0 if rtt_text == _UNSET else float(rtt_text)
+    ts = float(_field(columns, index_by_name, "ts", number))
     # Boundary validation: the record types are plain NamedTuples, so
     # untrusted values are checked here, where the bytes come in.
-    if rtt < 0:
-        raise LogFormatError(f"line {number}: rtt cannot be negative: {rtt}")
+    check_finite("ts", ts)
+    check_elapsed("rtt", rtt)
+    for answer in answers:
+        check_finite("answer TTL", answer.ttl)
     return DnsRecord(
-        ts=float(_field(columns, index_by_name, "ts", number)),
+        ts=ts,
         uid=_field(columns, index_by_name, "uid", number),
         orig_h=_field(columns, index_by_name, "id.orig_h", number),
         orig_p=int(_field(columns, index_by_name, "id.orig_p", number)),
@@ -262,13 +272,14 @@ def _conn_from_columns(
     duration = 0.0 if duration_text == _UNSET else float(duration_text)
     orig_bytes = int(_field(columns, index_by_name, "orig_bytes", number))
     resp_bytes = int(_field(columns, index_by_name, "resp_bytes", number))
+    ts = float(_field(columns, index_by_name, "ts", number))
     # Boundary validation (see _dns_from_columns).
-    if duration < 0:
-        raise LogFormatError(f"line {number}: duration cannot be negative: {duration}")
+    check_finite("ts", ts)
+    check_elapsed("duration", duration)
     if orig_bytes < 0 or resp_bytes < 0:
         raise LogFormatError(f"line {number}: byte counts cannot be negative")
     return ConnRecord(
-        ts=float(_field(columns, index_by_name, "ts", number)),
+        ts=ts,
         uid=_field(columns, index_by_name, "uid", number),
         orig_h=_field(columns, index_by_name, "id.orig_h", number),
         orig_p=int(_field(columns, index_by_name, "id.orig_p", number)),

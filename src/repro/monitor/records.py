@@ -21,17 +21,57 @@ tuple ``__new__`` is a C constructor where a frozen-slots dataclass
 the difference is the bulk of log-ingest wall time. They stay
 immutable and hashable; the cost is that per-record validation no
 longer lives in a ``__post_init__``, so sanity checks on untrusted
-values (negative rtt/duration/bytes) belong to the ingest boundaries
-— the TSV/JSON parsers and the binlog block decoder — not here.
+values belong to the ingest boundaries — the TSV/JSON parsers and the
+binlog block decoder — not here. The numeric rule they share is
+defined below (:func:`check_finite` and its siblings).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from repro.errors import LogFormatError
+
+# The numeric ingest rule, applied by every reader where the bytes come
+# in: ``ts``, ``rtt``, ``duration`` and every answer TTL are finite, and
+# ``rtt`` and ``duration`` are not negative. A NaN would otherwise sort
+# silently into a wrong order statistic, and an infinity makes every sum
+# it enters infinite. The checks raise ValueError, which each reader
+# turns into a LogFormatError naming the line or block (and which
+# lenient TSV ingest quarantines). The scalar forms serve the per-line
+# parsers; the column forms scan a binlog column at C speed, with no
+# per-record Python loop.
+
+_INF = math.inf
+
+
+def check_finite(field: str, value: float) -> None:
+    """Raise ValueError unless *value* is finite."""
+    if not -_INF < value < _INF:
+        raise ValueError(f"{field} must be finite: {value}")
+
+
+def check_elapsed(field: str, value: float) -> None:
+    """Raise ValueError unless *value* is finite and not negative."""
+    if not 0.0 <= value < _INF:
+        check_finite(field, value)
+        raise ValueError(f"{field} cannot be negative: {value}")
+
+
+def check_finite_column(field: str, values: Sequence[float]) -> None:
+    """:func:`check_finite` over a whole column."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{field} must be finite")
+
+
+def check_elapsed_column(field: str, values: Sequence[float]) -> None:
+    """:func:`check_elapsed` over a whole column."""
+    check_finite_column(field, values)
+    if min(values, default=0.0) < 0:
+        raise ValueError(f"{field} cannot be negative")
 
 
 class Proto(enum.Enum):

@@ -1,48 +1,24 @@
 """Packet-capture substrate: pcap files and Ethernet/IPv4/UDP/TCP codecs."""
 
-from repro.pcap.ethernet import ETHERTYPE_IPV4, EthernetFrame, format_mac, parse_mac
-from repro.pcap.ip import PROTO_TCP, PROTO_UDP, IPv4Packet, internet_checksum
-from repro.pcap.packet import (
-    DissectedPacket,
-    build_tcp_packet,
-    build_udp_packet,
-    dissect,
-)
-from repro.pcap.pcapfile import (
-    LINKTYPE_ETHERNET,
-    LINKTYPE_RAW_IP,
-    CapturedPacket,
-    PcapHeader,
-    PcapReader,
-    PcapWriter,
-    read_pcap,
-    write_pcap,
-)
-from repro.pcap.tcp import TCPFlags, TCPSegment
-from repro.pcap.udp import UDPDatagram
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CapturedPacket",
-    "DissectedPacket",
-    "ETHERTYPE_IPV4",
-    "EthernetFrame",
-    "IPv4Packet",
-    "LINKTYPE_ETHERNET",
-    "LINKTYPE_RAW_IP",
-    "PROTO_TCP",
-    "PROTO_UDP",
-    "PcapHeader",
-    "PcapReader",
-    "PcapWriter",
-    "TCPFlags",
-    "TCPSegment",
-    "UDPDatagram",
-    "build_tcp_packet",
-    "build_udp_packet",
-    "dissect",
-    "format_mac",
-    "internet_checksum",
-    "parse_mac",
-    "read_pcap",
-    "write_pcap",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ethernet": ("ETHERTYPE_IPV4", "EthernetFrame", "format_mac", "parse_mac"),
+        "ip": ("PROTO_TCP", "PROTO_UDP", "IPv4Packet", "internet_checksum"),
+        "packet": ("DissectedPacket", "build_tcp_packet", "build_udp_packet", "dissect"),
+        "pcapfile": (
+            "LINKTYPE_ETHERNET",
+            "LINKTYPE_RAW_IP",
+            "CapturedPacket",
+            "PcapHeader",
+            "PcapReader",
+            "PcapWriter",
+            "read_pcap",
+            "write_pcap",
+        ),
+        "tcp": ("TCPFlags", "TCPSegment"),
+        "udp": ("UDPDatagram",),
+    },
+)

@@ -1,14 +1,11 @@
 """Table and figure rendering for analysis results."""
 
-from repro.report.figures import ascii_cdf, cdf_series, series_to_csv
-from repro.report.tables import render_table, render_table1, render_table2, render_table3
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ascii_cdf",
-    "cdf_series",
-    "render_table",
-    "render_table1",
-    "render_table2",
-    "render_table3",
-    "series_to_csv",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "figures": ("ascii_cdf", "cdf_series", "series_to_csv"),
+        "tables": ("render_table", "render_table1", "render_table2", "render_table3"),
+    },
+)

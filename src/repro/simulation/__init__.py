@@ -1,36 +1,26 @@
 """Discrete-event simulation substrate: engine, latency models, RNG streams."""
 
-from repro.simulation.engine import EventHandle, SimulationEngine
-from repro.simulation.latency import (
-    LatencyModel,
-    authoritative_latency,
-    continental_latency,
-    lan_latency,
-    metro_latency,
-    regional_latency,
-)
-from repro.simulation.random import (
-    RandomStreams,
-    bounded_lognormal,
-    derive_seed,
-    poisson_arrivals,
-    weighted_choice,
-    zipf_weights,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EventHandle",
-    "LatencyModel",
-    "RandomStreams",
-    "SimulationEngine",
-    "authoritative_latency",
-    "bounded_lognormal",
-    "continental_latency",
-    "derive_seed",
-    "lan_latency",
-    "metro_latency",
-    "poisson_arrivals",
-    "regional_latency",
-    "weighted_choice",
-    "zipf_weights",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "engine": ("EventHandle", "SimulationEngine"),
+        "latency": (
+            "LatencyModel",
+            "authoritative_latency",
+            "continental_latency",
+            "lan_latency",
+            "metro_latency",
+            "regional_latency",
+        ),
+        "random": (
+            "RandomStreams",
+            "bounded_lognormal",
+            "derive_seed",
+            "poisson_arrivals",
+            "weighted_choice",
+            "zipf_weights",
+        ),
+    },
+)

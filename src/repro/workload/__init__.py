@@ -1,65 +1,37 @@
 """Synthetic residential ISP workload: the stand-in for the paper's CCZ traces."""
 
-from repro.workload.apps import (
-    ApiPollingModel,
-    BrowsingConfig,
-    ConnectivityCheckModel,
-    IoTHardcodedModel,
-    P2PModel,
-    VideoStreamingModel,
-    WebBrowsingModel,
-    diurnal_factor,
-)
-from repro.workload.devices import Device, Resolution
-from repro.workload.generate import TrafficGenerator, generate_trace
-from repro.workload.households import (
-    House,
-    HouseholdBuilder,
-    HouseholdMixConfig,
-    house_address,
-)
-from repro.workload.namespace import (
-    CONNECTIVITY_CHECK_HOST,
-    HostProfile,
-    IpAllocator,
-    NameUniverse,
-    SiteProfile,
-)
-from repro.workload.scenario import (
-    AppRates,
-    ScenarioConfig,
-    UniverseConfig,
-    benchmark_scenario,
-    default_scenario,
-    smoke_scenario,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ApiPollingModel",
-    "AppRates",
-    "BrowsingConfig",
-    "CONNECTIVITY_CHECK_HOST",
-    "ConnectivityCheckModel",
-    "Device",
-    "HostProfile",
-    "House",
-    "HouseholdBuilder",
-    "HouseholdMixConfig",
-    "IoTHardcodedModel",
-    "IpAllocator",
-    "NameUniverse",
-    "P2PModel",
-    "Resolution",
-    "ScenarioConfig",
-    "SiteProfile",
-    "TrafficGenerator",
-    "UniverseConfig",
-    "VideoStreamingModel",
-    "WebBrowsingModel",
-    "benchmark_scenario",
-    "default_scenario",
-    "diurnal_factor",
-    "generate_trace",
-    "house_address",
-    "smoke_scenario",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "apps": (
+            "ApiPollingModel",
+            "BrowsingConfig",
+            "ConnectivityCheckModel",
+            "IoTHardcodedModel",
+            "P2PModel",
+            "VideoStreamingModel",
+            "WebBrowsingModel",
+            "diurnal_factor",
+        ),
+        "devices": ("Device", "Resolution"),
+        "generate": ("TrafficGenerator", "generate_trace"),
+        "households": ("House", "HouseholdBuilder", "HouseholdMixConfig", "house_address"),
+        "namespace": (
+            "CONNECTIVITY_CHECK_HOST",
+            "HostProfile",
+            "IpAllocator",
+            "NameUniverse",
+            "SiteProfile",
+        ),
+        "scenario": (
+            "AppRates",
+            "ScenarioConfig",
+            "UniverseConfig",
+            "benchmark_scenario",
+            "default_scenario",
+            "smoke_scenario",
+        ),
+    },
+)

@@ -3,7 +3,8 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tests.strategies import float_samples
 
@@ -47,6 +48,27 @@ class TestPercentile:
             percentile([1.0], 101)
         with pytest.raises(AnalysisError):
             percentile([], 50)
+
+    def test_nan_rejected_everywhere(self):
+        # sorted() leaves a NaN wherever its comparisons put it, which
+        # would shift every order statistic without a trace.
+        values = [3.0, math.nan, 1.0] + [float(i) for i in range(20)]
+        for compute in (
+            lambda: percentile(values, 50),
+            lambda: summarize(values),
+            lambda: Cdf.from_values(values),
+            lambda: find_knee_detailed(values),
+        ):
+            with pytest.raises(AnalysisError, match="NaN"):
+                compute()
+
+    @pytest.mark.property
+    @given(float_samples, st.floats(min_value=0.0, max_value=100.0))
+    @settings(max_examples=60)
+    def test_cdf_percentile_reads_the_same_value(self, values, q):
+        cdf = Cdf.from_values(values)
+        assert cdf.percentile(q) == percentile(values, q)
+        assert cdf.summarize() == summarize(values)
 
 
 class TestCdf:
@@ -169,3 +191,84 @@ class TestKneeDetailed:
     def test_all_excluded_rejected(self):
         with pytest.raises(AnalysisError):
             find_knee_detailed([0.0] * 100, log_x=True)
+
+
+#: Finite floats across the whole range the reference check covers,
+#: subnormals included, with repeated values drawn on purpose.
+_reference_floats = st.floats(
+    min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False
+)
+_reference_samples = st.lists(
+    st.one_of(
+        _reference_floats,
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.5e-308, 1e300, -1e300]),
+    ),
+    min_size=1,
+    max_size=80,
+).flatmap(lambda xs: st.just(xs) | st.just(xs + xs[: len(xs) // 2 + 1]))
+_reference_percents = st.sampled_from([0, 10, 25, 50, 75, 90, 99, 100]) | st.floats(
+    min_value=0.0, max_value=100.0
+)
+
+
+def _numpy_knee_rank(np, values, log_x):
+    """The knee finder's former numpy form: sorted positive sample, the
+    chord distances, and the arg-max with the gap to the runner-up."""
+    xs = np.sort(np.asarray(values, dtype=float))
+    total = len(xs)
+    excluded = 0
+    if log_x:
+        xs = xs[xs > 0]
+        excluded = total - len(xs)
+        axis = np.log10(xs)
+    else:
+        axis = xs
+    ys = np.arange(excluded + 1, total + 1) / total
+    distance = ys - (axis - axis[0]) / (axis[-1] - axis[0])
+    best_two = np.sort(distance)[-2:]
+    return xs, int(np.argmax(distance)), float(best_two[1] - best_two[0])
+
+
+class TestNumpyReference:
+    """numpy is a test-only dependency: the reference the stdlib code matches."""
+
+    @pytest.mark.property
+    @given(_reference_samples, _reference_percents)
+    @settings(max_examples=400, deadline=None)
+    def test_percentile_and_summary_equal_numpy(self, values, q):
+        np = pytest.importorskip("numpy")
+        array = np.asarray(values, dtype=float)
+        assert percentile(values, q) == float(np.percentile(array, q))
+        summary = summarize(values)
+        assert summary == {
+            "count": float(len(values)),
+            "min": float(array.min()),
+            "median": float(np.percentile(array, 50)),
+            "mean": math.fsum(values) / len(values),
+            "p75": float(np.percentile(array, 75)),
+            "p90": float(np.percentile(array, 90)),
+            "p99": float(np.percentile(array, 99)),
+            "max": float(array.max()),
+        }
+
+    @pytest.mark.property
+    @given(
+        st.lists(
+            st.floats(min_value=1e-6, max_value=1e4, allow_nan=False) | st.just(0.0),
+            min_size=10,
+            max_size=300,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_knee_is_the_numpy_argmax_sample(self, values, log_x):
+        np = pytest.importorskip("numpy")
+        try:
+            result = find_knee_detailed(values, log_x=log_x)
+        except AnalysisError:
+            assume(False)
+        xs, rank, margin = _numpy_knee_rank(np, values, log_x)
+        # Chord distances within 1e-9 of each other may order either way
+        # once log10 differs in the last bit (it does across SIMD paths).
+        assume(margin > 1e-9)
+        assert result.knee == float(xs[rank])
