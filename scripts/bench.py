@@ -62,10 +62,9 @@ from repro.monitor.binlog import (  # noqa: E402
 )
 from repro.monitor.capture import Trace, trace_digest  # noqa: E402
 from repro.monitor.logs import (  # noqa: E402
-    iter_conn_log,
-    iter_dns_log,
     load_conn_log,
     load_dns_log,
+    open_records,
     save_conn_log,
     save_dns_log,
 )
@@ -320,11 +319,13 @@ def _analysis_child(task: tuple[str, str, str]) -> dict:
         trace = Trace(dns=load_dns_log(dns_path), conns=load_conn_log(conn_path))
         report = render_pipeline_report(ContextStudy(trace).pipeline_result())
     elif mode == "streaming-exact":
-        result = run_streaming_pipeline(iter_dns_log(dns_path), iter_conn_log(conn_path))
+        result = run_streaming_pipeline(
+            open_records(dns_path, "dns"), open_records(conn_path, "conn")
+        )
         report = render_pipeline_report(result)
     else:
         run_streaming_summary(
-            iter_dns_log(dns_path), iter_conn_log(conn_path), window_s=3600.0
+            open_records(dns_path, "dns"), open_records(conn_path, "conn"), window_s=3600.0
         )
     wall_s = time.perf_counter() - start
     return {
@@ -423,15 +424,15 @@ def _time_checkpoint(trace) -> dict:
         for pair in range(max_pairs):
             start = time.perf_counter()
             run_streaming_summary(
-                iter_dns_log(dns_path), iter_conn_log(conn_path), window_s=3600.0
+                open_records(dns_path, "dns"), open_records(conn_path, "conn"), window_s=3600.0
             )
             base = time.perf_counter() - start
 
             telemetry = CheckpointTelemetry()
             start = time.perf_counter()
             run_streaming_summary(
-                iter_dns_log(dns_path),
-                iter_conn_log(conn_path),
+                open_records(dns_path, "dns"),
+                open_records(conn_path, "conn"),
                 window_s=3600.0,
                 checkpoint=checkpoint,
                 checkpoint_telemetry=telemetry,

@@ -15,8 +15,8 @@ Subcommands::
         Generate and analyse in one step.
 
     repro-dns convert out/dns.log out/dns.rblg
-        Convert a trace log between Zeek TSV and the RBLG binary
-        columnar format (direction inferred from the input file).
+        Convert a trace log to or from the RBLG binary columnar format:
+        an RBLG input becomes Zeek TSV, a TSV or JSON input becomes RBLG.
 
     repro-dns lint src/repro
         Run the repro-lint static invariant checker (also available as
@@ -52,28 +52,8 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.dns.cache import EVICTION_POLICIES
-from repro.monitor.binlog import (
-    CONN_KIND,
-    DNS_KIND,
-    convert_conn_binlog_to_tsv,
-    convert_conn_tsv_to_binlog,
-    convert_dns_binlog_to_tsv,
-    convert_dns_tsv_to_binlog,
-    iter_conn_binlog,
-    iter_dns_binlog,
-    save_conn_binlog,
-    save_dns_binlog,
-    sniff_binlog,
-)
-from repro.monitor.logs import (
-    IngestReport,
-    iter_conn_log,
-    iter_dns_log,
-    save_conn_log,
-    save_dns_log,
-    tail_conn_log,
-    tail_dns_log,
-)
+from repro.monitor.binlog import DNS_KIND, save_conn_binlog, save_dns_binlog, sniff_binlog
+from repro.monitor.logs import IngestReport, open_records, save_conn_log, save_dns_log
 from repro.report.tables import (
     render_pipeline_report,
     render_pressure,
@@ -208,21 +188,18 @@ def _print_ingest_reports(reports, stream) -> None:
             print(f"  ... and {remaining} more", file=stream)
 
 
-def _counted(records, counter: list[int]):
-    """Yield *records* while counting them into ``counter[0]``."""
-    for record in records:
-        counter[0] += 1
-        yield record
+def _ingest_reports(args: argparse.Namespace) -> tuple[IngestReport, IngestReport] | None:
+    """The caller-owned (dns, conn) reports a ``--lenient`` read fills."""
+    return (IngestReport("dns"), IngestReport("conn")) if args.lenient else None
 
 
 def _run_streaming_report(
-    args: argparse.Namespace, dns_records, conns, ingest_state=None
+    args: argparse.Namespace, dns_records, conns, ingest=None
 ) -> None:
     """Run the one-pass engine over record iterables and print its report.
 
-    *ingest_state* carries ``(label, counter, quarantine)`` triples from a
-    lenient read; the resulting :class:`IngestReport` objects can only be
-    built after the run, once the lazy readers have drained.
+    *ingest* holds the reports of a lenient read; they are complete only
+    after the run, once the lazy readers have drained.
     """
     reorder_window_s = args.reorder_window_s
     if reorder_window_s is None:
@@ -248,8 +225,8 @@ def _run_streaming_report(
             checkpoint_telemetry=telemetry,
         )
         report = render_pipeline_report(result)
-        if ingest_state is not None:
-            _print_ingest_reports(_build_ingest_reports(ingest_state), sys.stderr)
+        if ingest is not None:
+            _print_ingest_reports(ingest, sys.stderr)
     else:
         summary = run_streaming_summary(
             dns_records,
@@ -260,9 +237,6 @@ def _run_streaming_report(
             resume=args.resume,
             checkpoint_telemetry=telemetry,
         )
-        ingest = None
-        if ingest_state is not None:
-            ingest = _build_ingest_reports(ingest_state)
         report = render_streaming_summary(summary, ingest=ingest)
     if checkpoint is not None:
         # The run completed: the checkpoint has nothing left to resume.
@@ -279,16 +253,6 @@ def _run_streaming_report(
                 file=sys.stderr,
             )
     print(report)
-
-
-def _build_ingest_reports(ingest_state) -> tuple[IngestReport, ...]:
-    """Materialize lenient-ingest reports once the lazy readers drained."""
-    return tuple(
-        IngestReport(
-            path_label=label, parsed=counter[0], quarantined=tuple(quarantine)
-        )
-        for label, counter, quarantine in ingest_state
-    )
 
 
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
@@ -484,68 +448,6 @@ def _print_report(study: ContextStudy) -> None:
     print(render_table3(study.refresh()))
 
 
-def _streaming_inputs(args: argparse.Namespace):
-    """Build the (dns, conn, ingest_state) input triple for streaming analyze.
-
-    Four reader shapes fall out of two independent flags: ``--follow``
-    swaps the lazy file readers for live tails, and ``--lenient`` threads
-    quarantine lists (plus record counters) through either reader so the
-    post-run :class:`IngestReport` can be assembled.
-    """
-    dns_is_bin = sniff_binlog(args.dns) is not None
-    conn_is_bin = sniff_binlog(args.conn) is not None
-    if dns_is_bin or conn_is_bin:
-        # Binary inputs: blocks are checksummed, so corruption surfaces
-        # as a hard decode error rather than a quarantineable line, and
-        # the format has no notion of a partially appended record.
-        if args.follow:
-            raise LogFormatError("--follow supports TSV logs only, not RBLG binlogs")
-        if args.lenient:
-            raise LogFormatError(
-                "--lenient applies to TSV logs; RBLG binlogs are "
-                "checksum-verified per block instead"
-            )
-        dns_records = (
-            iter_dns_binlog(args.dns) if dns_is_bin
-            else iter_dns_log(args.dns)
-        )
-        conns = (
-            iter_conn_binlog(args.conn) if conn_is_bin
-            else iter_conn_log(args.conn)
-        )
-        return dns_records, conns, None
-    ingest_state = None
-    strict = not args.lenient
-    dns_quarantine: list = []
-    conn_quarantine: list = []
-    if args.follow:
-        dns_records = tail_dns_log(
-            args.dns,
-            idle_timeout_s=args.idle_timeout_s,
-            strict=strict,
-            quarantine=dns_quarantine,
-        )
-        conns = tail_conn_log(
-            args.conn,
-            idle_timeout_s=args.idle_timeout_s,
-            strict=strict,
-            quarantine=conn_quarantine,
-        )
-    else:
-        dns_records = iter_dns_log(args.dns, strict=strict, quarantine=dns_quarantine)
-        conns = iter_conn_log(args.conn, strict=strict, quarantine=conn_quarantine)
-    if args.lenient:
-        dns_counter = [0]
-        conn_counter = [0]
-        dns_records = _counted(dns_records, dns_counter)
-        conns = _counted(conns, conn_counter)
-        ingest_state = (
-            ("dns", dns_counter, dns_quarantine),
-            ("conn", conn_counter, conn_quarantine),
-        )
-    return dns_records, conns, ingest_state
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.follow and not args.streaming:
         print("analyze --follow requires --streaming", file=sys.stderr)
@@ -562,14 +464,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if not (args.dns and args.conn):
             print("analyze --streaming requires both --dns and --conn", file=sys.stderr)
             return 2
-        dns_records, conns, ingest_state = _streaming_inputs(args)
-        _run_streaming_report(args, dns_records, conns, ingest_state)
+        reports = _ingest_reports(args)
+        dns_report, conn_report = reports or (None, None)
+        dns_records = open_records(
+            args.dns, "dns", report=dns_report,
+            follow=args.follow, idle_timeout_s=args.idle_timeout_s,
+        )
+        conns = open_records(
+            args.conn, "conn", report=conn_report,
+            follow=args.follow, idle_timeout_s=args.idle_timeout_s,
+        )
+        _run_streaming_report(args, dns_records, conns, reports)
         return 0
     if args.pcap:
         study = ContextStudy.from_pcap(args.pcap, local_networks=tuple(args.local_net))
     elif args.dns and args.conn:
-        study = ContextStudy.from_logs(args.dns, args.conn, strict=not args.lenient)
-        _print_ingest_reports(study.ingest_reports, sys.stderr)
+        reports = _ingest_reports(args)
+        study = ContextStudy.from_logs(args.dns, args.conn, reports=reports)
+        _print_ingest_reports(reports or (), sys.stderr)
     else:
         print("analyze requires either --pcap or both --dns and --conn", file=sys.stderr)
         return 2
@@ -619,20 +531,17 @@ def _sniff_tsv_kind(path: str) -> str | None:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    """Convert one trace log between TSV and the RBLG binary format.
+    """Convert one trace log to or from the RBLG binary format.
 
-    Direction is inferred from the input: an RBLG file converts to TSV,
-    anything else is treated as TSV and converts to RBLG. The record
-    kind comes from the RBLG header or the TSV ``#path`` label; pass
-    ``--kind`` for headerless logs. ``--lenient`` (TSV inputs only)
-    quarantines corrupt rows through the standard ingest-report
-    machinery instead of aborting the migration.
+    An RBLG input becomes Zeek TSV; any text log, TSV or JSON, becomes
+    RBLG. The records stream from :func:`open_records` straight into the
+    writer. The record kind comes from the RBLG header or the TSV
+    ``#path`` label; pass ``--kind`` for logs without one (JSON has
+    none). ``--lenient`` quarantines corrupt text lines through the
+    standard ingest report instead of aborting the migration.
     """
     bin_kind = sniff_binlog(args.input)
     if bin_kind is not None:
-        if args.lenient:
-            print("convert --lenient applies to TSV inputs only", file=sys.stderr)
-            return 2
         kind = "dns" if bin_kind == DNS_KIND else "conn"
         if args.kind and args.kind != kind:
             print(
@@ -640,23 +549,25 @@ def cmd_convert(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        convert = convert_dns_binlog_to_tsv if bin_kind == DNS_KIND else convert_conn_binlog_to_tsv
-        total = convert(args.input, args.output)
-        print(f"wrote {args.output} ({total} {kind} records, TSV)")
-        return 0
-    kind = args.kind or _sniff_tsv_kind(args.input)
-    if kind is None:
-        print(
-            "convert: cannot infer the record kind (no #path header); "
-            "pass --kind dns or --kind conn",
-            file=sys.stderr,
-        )
-        return 2
-    convert = convert_dns_tsv_to_binlog if kind == "dns" else convert_conn_tsv_to_binlog
-    total, report = convert(args.input, args.output, lenient=args.lenient)
+    else:
+        kind = args.kind or _sniff_tsv_kind(args.input)
+        if kind is None:
+            print(
+                "convert: cannot infer the record kind (no #path header); "
+                "pass --kind dns or --kind conn",
+                file=sys.stderr,
+            )
+            return 2
+    report = IngestReport(kind) if args.lenient else None
+    records = open_records(args.input, kind, report=report)
+    if bin_kind is not None:
+        save, label = (save_dns_log if kind == "dns" else save_conn_log), "TSV"
+    else:
+        save, label = (save_dns_binlog if kind == "dns" else save_conn_binlog), "RBLG"
+    total = save(args.output, records)
     if report is not None:
         _print_ingest_reports((report,), sys.stderr)
-    print(f"wrote {args.output} ({total} {kind} records, RBLG)")
+    print(f"wrote {args.output} ({total} {kind} records, {label})")
     return 0
 
 
@@ -704,13 +615,15 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--lenient",
         action="store_true",
-        help="quarantine malformed log lines (reported on stderr) instead of aborting",
+        help="quarantine malformed log lines (reported on stderr) instead of "
+        "aborting; a no-op for RBLG logs, whose blocks are checksummed",
     )
     analyze.add_argument(
         "--follow",
         action="store_true",
-        help="with --streaming: tail growing logs live, surviving rotation "
-        "and truncation, instead of reading to EOF and stopping",
+        help="with --streaming: tail growing TSV or JSON logs live, surviving "
+        "rotation and truncation, instead of reading to EOF and stopping "
+        "(RBLG logs cannot be followed)",
     )
     analyze.add_argument(
         "--idle-timeout-s",
@@ -751,21 +664,21 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(func=cmd_report)
 
     convert = subparsers.add_parser(
-        "convert", help="convert a trace log between TSV and RBLG binary"
+        "convert", help="convert a trace log to or from RBLG binary"
     )
-    convert.add_argument("input", help="source log (Zeek TSV or .rblg)")
+    convert.add_argument("input", help="source log (Zeek TSV, Zeek JSON or .rblg)")
     convert.add_argument("output", help="destination path")
     convert.add_argument(
         "--kind",
         choices=("dns", "conn"),
         default=None,
-        help="record kind when the input has no #path header (TSV inputs)",
+        help="record kind when the input has no #path header (required for JSON)",
     )
     convert.add_argument(
         "--lenient",
         action="store_true",
-        help="TSV inputs: quarantine corrupt rows (reported on stderr) "
-        "instead of aborting the migration",
+        help="quarantine corrupt lines (reported on stderr) instead of "
+        "aborting the migration; a no-op for RBLG inputs",
     )
     convert.set_defaults(func=cmd_convert)
 

@@ -79,56 +79,7 @@ if TYPE_CHECKING:
     from repro.core.stats import Cdf
     from repro.core.streaming import PipelineResult
     from repro.monitor.logs import IngestReport
-    from repro.monitor.records import ConnRecord, DnsRecord
     from repro.workload.scenario import ScenarioConfig
-
-
-def _looks_like_json(path: str) -> bool:
-    """True when the file's first non-blank character starts a JSON object."""
-    with open(path, "r", encoding="utf-8") as stream:
-        for line in stream:
-            stripped = line.strip()
-            if stripped:
-                return stripped.startswith("{")
-    return False
-
-
-def _load_any_dns(path: str, strict: bool = True) -> "tuple[list[DnsRecord], IngestReport | None]":
-    # Binary sniff first: a binlog is not valid UTF-8, so the text
-    # probes below would raise before reaching a format decision.
-    from repro.monitor.binlog import is_binlog, load_dns_binlog
-
-    if is_binlog(path):
-        return load_dns_binlog(path), None
-    if _looks_like_json(path):
-        from repro.monitor.json_logs import read_dns_json
-
-        with open(path, "r", encoding="utf-8") as stream:
-            return read_dns_json(stream), None
-    from repro.monitor.logs import load_dns_log, read_dns_log_lenient
-
-    if strict:
-        return load_dns_log(path), None
-    with open(path, "r", encoding="utf-8") as stream:
-        return read_dns_log_lenient(stream)
-
-
-def _load_any_conn(path: str, strict: bool = True) -> "tuple[list[ConnRecord], IngestReport | None]":
-    from repro.monitor.binlog import is_binlog, load_conn_binlog
-
-    if is_binlog(path):
-        return load_conn_binlog(path), None
-    if _looks_like_json(path):
-        from repro.monitor.json_logs import read_conn_json
-
-        with open(path, "r", encoding="utf-8") as stream:
-            return read_conn_json(stream), None
-    from repro.monitor.logs import load_conn_log, read_conn_log_lenient
-
-    if strict:
-        return load_conn_log(path), None
-    with open(path, "r", encoding="utf-8") as stream:
-        return read_conn_log_lenient(stream)
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,8 +99,6 @@ class ContextStudy:
             raise AnalysisError("the trace has no connections to analyse")
         self.trace = trace
         self.options = options if options is not None else StudyOptions()
-        # Populated by from_logs(strict=False); empty otherwise.
-        self.ingest_reports: tuple[IngestReport, ...] = ()
 
     # -- constructors -------------------------------------------------------
 
@@ -166,32 +115,28 @@ class ContextStudy:
         dns_path: str,
         conn_path: str,
         options: StudyOptions | None = None,
-        strict: bool = True,
+        reports: tuple[IngestReport, IngestReport] | None = None,
     ) -> "ContextStudy":
         """Analyse previously saved dns.log / conn.log files.
 
-        Three formats are accepted and detected per file: Zeek TSV
-        (``#fields`` headers), Zeek JSON-streaming (one object per
-        line), and the RBLG binary columnar format
-        (:mod:`repro.monitor.binlog`).
-
-        With ``strict=False``, malformed TSV lines are quarantined
-        instead of aborting the ingest; the resulting
-        :class:`~repro.monitor.logs.IngestReport` objects are kept on
-        ``study.ingest_reports`` so the caller can surface what was
-        dropped. JSON-format files always use the strict path.
+        Each file is read through :func:`repro.monitor.logs.load_dns_log`
+        / ``load_conn_log``, so Zeek TSV, Zeek JSON and RBLG binlogs are
+        all accepted and detected per file. *reports*, a caller-owned
+        ``(dns, conn)`` pair of :class:`~repro.monitor.logs.IngestReport`,
+        makes the reads lenient: malformed lines are quarantined into
+        the reports instead of aborting the ingest.
         """
-        dns_records, dns_report = _load_any_dns(dns_path, strict=strict)
-        conn_records, conn_report = _load_any_conn(conn_path, strict=strict)
-        trace = Trace(dns=dns_records, conns=conn_records)
+        from repro.monitor.logs import load_conn_log, load_dns_log
+
+        dns_report, conn_report = reports or (None, None)
+        trace = Trace(
+            dns=load_dns_log(dns_path, dns_report),
+            conns=load_conn_log(conn_path, conn_report),
+        )
         trace.sort()
         if trace.conns:
             trace.duration = trace.conns[-1].ts - trace.conns[0].ts
-        study = cls(trace, options)
-        study.ingest_reports = tuple(
-            report for report in (dns_report, conn_report) if report is not None
-        )
-        return study
+        return cls(trace, options)
 
     @classmethod
     def from_pcap(

@@ -16,16 +16,17 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         "capture": ("MonitorCapture", "Trace", "merge_traces"),
         "logs": (
+            "IngestReport",
             "load_conn_log",
             "load_dns_log",
-            "read_conn_log",
-            "read_dns_log",
+            "open_records",
+            "parse_lines",
             "save_conn_log",
             "save_dns_log",
             "write_conn_log",
             "write_dns_log",
         ),
-        "json_logs": ("read_conn_json", "read_dns_json", "write_conn_json", "write_dns_json"),
+        "json_logs": ("write_conn_json", "write_dns_json"),
         "pcap_ingest": ("PcapIngest", "trace_from_pcap"),
         "records": (
             "ConnRecord",

@@ -477,7 +477,7 @@ def _parse_file_header(buffer, expect_kind: int) -> int:
     return total
 
 
-def _iter_blocks(buffer, expect_kind: int, verify: bool) -> Iterator[list]:
+def _iter_blocks(buffer, expect_kind: int) -> Iterator[list]:
     """Yield each block's decoded record list (shared reader loop)."""
     total = _parse_file_header(buffer, expect_kind)
     decode = _DECODERS[expect_kind]
@@ -495,7 +495,7 @@ def _iter_blocks(buffer, expect_kind: int, verify: bool) -> Iterator[list]:
         payload = buffer[offset : offset + payload_len]
         if len(payload) != payload_len:
             raise LogFormatError(f"binlog block {block}: truncated payload")
-        if verify and zlib.crc32(payload) != checksum:
+        if zlib.crc32(payload) != checksum:
             raise LogFormatError(f"binlog block {block}: checksum mismatch")
         try:
             records = decode(payload, count)
@@ -511,18 +511,18 @@ def _iter_blocks(buffer, expect_kind: int, verify: bool) -> Iterator[list]:
         )
 
 
-def read_dns_binlog(buffer, verify: bool = True) -> list[DnsRecord]:
+def read_dns_binlog(buffer) -> list[DnsRecord]:
     """Decode a dns binlog from a bytes-like buffer."""
     records: list[DnsRecord] = []
-    for block in _iter_blocks(buffer, DNS_KIND, verify):
+    for block in _iter_blocks(buffer, DNS_KIND):
         records.extend(block)
     return records
 
 
-def read_conn_binlog(buffer, verify: bool = True) -> list[ConnRecord]:
+def read_conn_binlog(buffer) -> list[ConnRecord]:
     """Decode a conn binlog from a bytes-like buffer."""
     records: list[ConnRecord] = []
-    for block in _iter_blocks(buffer, CONN_KIND, verify):
+    for block in _iter_blocks(buffer, CONN_KIND):
         records.extend(block)
     return records
 
@@ -531,35 +531,35 @@ def _mmap_file(stream: IO[bytes]) -> mmap.mmap:
     return mmap.mmap(stream.fileno(), 0, access=mmap.ACCESS_READ)
 
 
-def load_dns_binlog(path: str, verify: bool = True) -> list[DnsRecord]:
+def load_dns_binlog(path: str) -> list[DnsRecord]:
     """Read a dns ``.rblg`` file (mmap-backed, whole file)."""
     with open(path, "rb") as stream, _mmap_file(stream) as buffer:
-        return read_dns_binlog(buffer, verify)
+        return read_dns_binlog(buffer)
 
 
-def load_conn_binlog(path: str, verify: bool = True) -> list[ConnRecord]:
+def load_conn_binlog(path: str) -> list[ConnRecord]:
     """Read a conn ``.rblg`` file (mmap-backed, whole file)."""
     with open(path, "rb") as stream, _mmap_file(stream) as buffer:
-        return read_conn_binlog(buffer, verify)
+        return read_conn_binlog(buffer)
 
 
-def iter_dns_binlog(path: str, verify: bool = True) -> Iterator[DnsRecord]:
+def iter_dns_binlog(path: str) -> Iterator[DnsRecord]:
     """Lazily read a dns ``.rblg`` file, one record at a time.
 
-    The binary counterpart of :func:`repro.monitor.logs.iter_dns_log`:
-    the file is mmapped and decoded block by block, so only one block's
+    The file is mmapped and decoded block by block, so only one block's
     records are materialized at once and the OS pages the rest in on
-    demand — feed it straight to the streaming pipeline.
+    demand. :func:`repro.monitor.logs.open_records` returns this
+    iterator for a binlog.
     """
     with open(path, "rb") as stream, _mmap_file(stream) as buffer:
-        for block in _iter_blocks(buffer, DNS_KIND, verify):
+        for block in _iter_blocks(buffer, DNS_KIND):
             yield from block
 
 
-def iter_conn_binlog(path: str, verify: bool = True) -> Iterator[ConnRecord]:
+def iter_conn_binlog(path: str) -> Iterator[ConnRecord]:
     """Lazily read a conn ``.rblg`` file; see :func:`iter_dns_binlog`."""
     with open(path, "rb") as stream, _mmap_file(stream) as buffer:
-        for block in _iter_blocks(buffer, CONN_KIND, verify):
+        for block in _iter_blocks(buffer, CONN_KIND):
             yield from block
 
 
@@ -591,91 +591,3 @@ def sniff_binlog(path: str) -> int | None:
     if kind not in _KIND_LABELS:
         raise LogFormatError(f"unknown binlog kind {kind}")
     return kind
-
-
-def is_binlog(path: str) -> bool:
-    """True when *path* starts with the RBLG magic."""
-    try:
-        with open(path, "rb") as stream:
-            return stream.read(4) == BINLOG_MAGIC
-    except OSError:
-        return False
-
-
-# -- TSV <-> binary converters ----------------------------------------------
-
-
-def convert_dns_tsv_to_binlog(
-    src: str,
-    dst: str,
-    lenient: bool = False,
-    block_records: int = DEFAULT_BLOCK_RECORDS,
-) -> tuple[int, "IngestReport | None"]:
-    """Convert a dns.log TSV at *src* into an RBLG file at *dst*.
-
-    In lenient mode malformed TSV rows are quarantined through the
-    standard :class:`~repro.monitor.logs.IngestReport` machinery instead
-    of aborting the migration; the report (with line numbers and
-    reasons) is returned alongside the converted-record count. Strict
-    mode returns ``None`` for the report and raises on the first bad
-    row. The records stream straight from the TSV parser into the block
-    encoder, so the conversion never holds the full log in memory.
-    """
-    from repro.monitor.logs import IngestReport, QuarantinedLine, iter_dns_log
-
-    quarantine: list[QuarantinedLine] = []
-    records = iter_dns_log(
-        src, strict=not lenient, quarantine=quarantine if lenient else None
-    )
-    total = save_dns_binlog(dst, records, block_records)
-    if not lenient:
-        return total, None
-    report = IngestReport(
-        path_label="dns", parsed=total, quarantined=tuple(quarantine)
-    )
-    return total, report
-
-
-def convert_conn_tsv_to_binlog(
-    src: str,
-    dst: str,
-    lenient: bool = False,
-    block_records: int = DEFAULT_BLOCK_RECORDS,
-) -> tuple[int, "IngestReport | None"]:
-    """Convert a conn.log TSV at *src* into an RBLG file at *dst*.
-
-    See :func:`convert_dns_tsv_to_binlog` for the lenient contract.
-    """
-    from repro.monitor.logs import IngestReport, QuarantinedLine, iter_conn_log
-
-    quarantine: list[QuarantinedLine] = []
-    records = iter_conn_log(
-        src, strict=not lenient, quarantine=quarantine if lenient else None
-    )
-    total = save_conn_binlog(dst, records, block_records)
-    if not lenient:
-        return total, None
-    report = IngestReport(
-        path_label="conn", parsed=total, quarantined=tuple(quarantine)
-    )
-    return total, report
-
-
-def convert_dns_binlog_to_tsv(src: str, dst: str, verify: bool = True) -> int:
-    """Convert a dns ``.rblg`` at *src* back to Zeek-style TSV at *dst*.
-
-    The inverse migration: block checksums are verified by default, and
-    the emitted TSV is byte-identical to what :func:`save_dns_log`
-    writes for the same records — the round-trip tests pin
-    ``TSV -> binlog -> TSV`` byte equality.
-    """
-    from repro.monitor.logs import save_dns_log
-
-    return save_dns_log(dst, iter_dns_binlog(src, verify))
-
-
-def convert_conn_binlog_to_tsv(src: str, dst: str, verify: bool = True) -> int:
-    """Convert a conn ``.rblg`` at *src* back to TSV at *dst*."""
-    from repro.monitor.logs import save_conn_log
-
-    return save_conn_log(dst, iter_conn_binlog(src, verify))

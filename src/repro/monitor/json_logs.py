@@ -1,8 +1,10 @@
 """JSON-streaming log support (Zeek's ``LogAscii::use_json`` format).
 
 Many modern Zeek deployments write one JSON object per line instead of
-TSV. This module reads and writes that shape for both logs, using Zeek's
-field names, so the analysis pipeline accepts either format:
+TSV. This module writes that shape for both logs, using Zeek's field
+names, and parses it one line at a time for
+:func:`repro.monitor.logs.parse_lines`, which imports it on the first
+JSON line it meets:
 
     {"ts": 100.5, "uid": "D1", "id.orig_h": "10.77.0.10", ...}
 """
@@ -63,109 +65,96 @@ def conn_record_to_json(record: ConnRecord) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def _load_line(line: str, number: int) -> dict:
+def _load_object(line: str) -> dict:
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise LogFormatError(f"line {number}: invalid JSON: {exc}") from exc
+        raise LogFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise LogFormatError(f"line {number}: expected a JSON object")
+        raise LogFormatError("expected a JSON object")
     return payload
 
 
-def _require(payload: dict, field: str, number: int):
+def _require(payload: dict, field: str):
     if field not in payload:
-        raise LogFormatError(f"line {number}: missing field {field!r}")
+        raise LogFormatError(f"missing field {field!r}")
     return payload[field]
 
 
-def read_dns_json(stream: IO[str]) -> list[DnsRecord]:
-    """Parse a JSON-streaming dns.log."""
-    records: list[DnsRecord] = []
-    for number, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        payload = _load_line(line, number)
+def _dns_from_json(line: str, fields: object = None) -> DnsRecord:
+    """Build one :class:`DnsRecord` from a JSON line.
+
+    The per-line parser :func:`repro.monitor.logs.parse_lines` calls;
+    *fields* (the TSV column map) is unused, since an object names its
+    own fields. Like the TSV parser it names no line number.
+    """
+    payload = _load_object(line)
+    try:
         answers_data = payload.get("answers", []) or []
         ttls = payload.get("TTLs", []) or []
         types = payload.get("answer_types", []) or []
         if ttls and len(ttls) != len(answers_data):
-            raise LogFormatError(
-                f"line {number}: {len(answers_data)} answers but {len(ttls)} TTLs"
+            raise LogFormatError(f"{len(answers_data)} answers but {len(ttls)} TTLs")
+        answers = tuple(
+            DnsAnswer(
+                data=str(data),
+                ttl=float(ttls[i]) if ttls else 0.0,
+                rtype=str(types[i]) if i < len(types) else "A",
             )
-        try:
-            answers = tuple(
-                DnsAnswer(
-                    data=str(data),
-                    ttl=float(ttls[i]) if ttls else 0.0,
-                    rtype=str(types[i]) if i < len(types) else "A",
-                )
-                for i, data in enumerate(answers_data)
-            )
-            ts = float(_require(payload, "ts", number))
-            rtt = float(payload.get("rtt", 0.0))
-            check_finite("ts", ts)
-            check_elapsed("rtt", rtt)
-            for answer in answers:
-                check_finite("answer TTL", answer.ttl)
-            records.append(
-                DnsRecord(
-                    ts=ts,
-                    uid=str(_require(payload, "uid", number)),
-                    orig_h=str(_require(payload, "id.orig_h", number)),
-                    orig_p=int(_require(payload, "id.orig_p", number)),
-                    resp_h=str(_require(payload, "id.resp_h", number)),
-                    resp_p=int(payload.get("id.resp_p", 53)),
-                    proto=Proto.parse(str(payload.get("proto", "udp"))),
-                    query=str(_require(payload, "query", number)),
-                    qtype=str(payload.get("qtype_name", "A")),
-                    rcode=str(payload.get("rcode_name", "NOERROR")),
-                    rtt=rtt,
-                    answers=answers,
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise LogFormatError(f"line {number}: {exc}") from exc
-    return records
+            for i, data in enumerate(answers_data)
+        )
+        ts = float(_require(payload, "ts"))
+        rtt = float(payload.get("rtt", 0.0))
+        check_finite("ts", ts)
+        check_elapsed("rtt", rtt)
+        for answer in answers:
+            check_finite("answer TTL", answer.ttl)
+        return DnsRecord(
+            ts=ts,
+            uid=str(_require(payload, "uid")),
+            orig_h=str(_require(payload, "id.orig_h")),
+            orig_p=int(_require(payload, "id.orig_p")),
+            resp_h=str(_require(payload, "id.resp_h")),
+            resp_p=int(payload.get("id.resp_p", 53)),
+            proto=Proto.parse(str(payload.get("proto", "udp"))),
+            query=str(_require(payload, "query")),
+            qtype=str(payload.get("qtype_name", "A")),
+            rcode=str(payload.get("rcode_name", "NOERROR")),
+            rtt=rtt,
+            answers=answers,
+        )
+    except TypeError as exc:
+        raise LogFormatError(str(exc)) from exc
 
 
-def read_conn_json(stream: IO[str]) -> list[ConnRecord]:
-    """Parse a JSON-streaming conn.log."""
-    records: list[ConnRecord] = []
-    for number, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        payload = _load_line(line, number)
-        try:
-            ts = float(_require(payload, "ts", number))
-            duration = float(payload.get("duration", 0.0))
-            orig_bytes = int(payload.get("orig_bytes", 0))
-            resp_bytes = int(payload.get("resp_bytes", 0))
-            check_finite("ts", ts)
-            check_elapsed("duration", duration)
-            if orig_bytes < 0 or resp_bytes < 0:
-                raise ValueError("byte counts cannot be negative")
-            records.append(
-                ConnRecord(
-                    ts=ts,
-                    uid=str(_require(payload, "uid", number)),
-                    orig_h=str(_require(payload, "id.orig_h", number)),
-                    orig_p=int(_require(payload, "id.orig_p", number)),
-                    resp_h=str(_require(payload, "id.resp_h", number)),
-                    resp_p=int(_require(payload, "id.resp_p", number)),
-                    proto=Proto.parse(str(_require(payload, "proto", number))),
-                    service=str(payload.get("service", "-")),
-                    duration=duration,
-                    orig_bytes=orig_bytes,
-                    resp_bytes=resp_bytes,
-                    conn_state=str(payload.get("conn_state", "SF")),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise LogFormatError(f"line {number}: {exc}") from exc
-    return records
+def _conn_from_json(line: str, fields: object = None) -> ConnRecord:
+    """Build one :class:`ConnRecord` from a JSON line; see :func:`_dns_from_json`."""
+    payload = _load_object(line)
+    try:
+        ts = float(_require(payload, "ts"))
+        duration = float(payload.get("duration", 0.0))
+        orig_bytes = int(payload.get("orig_bytes", 0))
+        resp_bytes = int(payload.get("resp_bytes", 0))
+        check_finite("ts", ts)
+        check_elapsed("duration", duration)
+        if orig_bytes < 0 or resp_bytes < 0:
+            raise LogFormatError("byte counts cannot be negative")
+        return ConnRecord(
+            ts=ts,
+            uid=str(_require(payload, "uid")),
+            orig_h=str(_require(payload, "id.orig_h")),
+            orig_p=int(_require(payload, "id.orig_p")),
+            resp_h=str(_require(payload, "id.resp_h")),
+            resp_p=int(_require(payload, "id.resp_p")),
+            proto=Proto.parse(str(_require(payload, "proto"))),
+            service=str(payload.get("service", "-")),
+            duration=duration,
+            orig_bytes=orig_bytes,
+            resp_bytes=resp_bytes,
+            conn_state=str(payload.get("conn_state", "SF")),
+        )
+    except TypeError as exc:
+        raise LogFormatError(str(exc)) from exc
 
 
 def write_dns_json(stream: IO[str], records: Iterable[DnsRecord]) -> int:

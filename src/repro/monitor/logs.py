@@ -1,20 +1,27 @@
-"""Zeek-style TSV log serialization.
+"""Zeek-style TSV logs, and the one record source behind every reader.
 
 The on-disk format follows Zeek's ASCII logs closely enough to feel
 familiar: ``#fields`` / ``#types`` header lines, tab-separated values,
 ``-`` for unset fields, and comma-separated vectors. Readers accept any
 field order and ignore unknown fields, so logs written by other tools
 (or future versions) still load.
+
+:func:`open_records` reads a log in any of the three formats — Zeek
+TSV, Zeek JSON (one object per line) or RBLG binary
+(:mod:`repro.monitor.binlog`) — to end of file or, with ``follow``, as
+it grows. Batch loads, streaming, tails, lenient reads and ``convert``
+all go through it.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Iterator
 
 from repro.errors import LogFormatError
+from repro.monitor import binlog
 from repro.monitor.records import (
     ConnRecord,
     DnsAnswer,
@@ -34,20 +41,23 @@ class QuarantinedLine:
     text: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class IngestReport:
     """What a lenient log read parsed and what it quarantined.
 
     Real capture infrastructure produces the occasional truncated or
     corrupt line (disk-full, rotation races, mid-write crashes); the
     paper's conservative stance is to analyse what is unambiguous and
-    account for the rest, not to abort. ``quarantined`` preserves line
-    numbers and reasons so the discarded population can be audited.
+    account for the rest, not to abort. The caller creates the report
+    and passes it to a reader as ``report=``; the reader counts parsed
+    records into it and quarantines each malformed line with its line
+    number and reason, so the discarded population can be audited once
+    the reader has drained.
     """
 
     path_label: str
-    parsed: int
-    quarantined: tuple[QuarantinedLine, ...] = ()
+    parsed: int = 0
+    quarantined: list[QuarantinedLine] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -189,21 +199,10 @@ def write_conn_log(stream: IO[str], records: Iterable[ConnRecord]) -> int:
     return count
 
 
-def _parse_header(lines: Iterator[tuple[int, str]]) -> dict[str, int]:
-    """Consume header lines until #fields is found; returns name->index."""
-    for number, line in lines:
-        if not line.startswith("#"):
-            raise LogFormatError(f"line {number}: data before #fields header")
-        if line.startswith("#fields"):
-            parts = line.rstrip("\n").split(_SEPARATOR)
-            return {name: index for index, name in enumerate(parts[1:])}
-    raise LogFormatError("log ended before a #fields header")
-
-
-def _field(columns: list[str], index_by_name: dict[str, int], name: str, line_number: int) -> str:
-    index = index_by_name.get(name)
+def _field(columns: list[str], fields: dict[str, int], name: str) -> str:
+    index = fields.get(name)
     if index is None or index >= len(columns):
-        raise LogFormatError(f"line {line_number}: missing field {name!r}")
+        raise LogFormatError(f"missing field {name!r}")
     return columns[index]
 
 
@@ -213,24 +212,21 @@ def _parse_vector(text: str) -> list[str]:
     return text.split(_VECTOR_SEPARATOR)
 
 
-def _dns_from_columns(
-    columns: list[str], index_by_name: dict[str, int], number: int
-) -> DnsRecord:
-    """Build one :class:`DnsRecord` from a split data line."""
-    answers_text = _field(columns, index_by_name, "answers", number)
-    ttls_text = _field(columns, index_by_name, "TTLs", number)
+def _dns_from_tsv(line: str, fields: dict[str, int] | None) -> DnsRecord:
+    """Build one :class:`DnsRecord` from a TSV data line."""
+    if fields is None:
+        raise LogFormatError("data before #fields header")
+    columns = line.split(_SEPARATOR)
+    answers_text = _field(columns, fields, "answers")
+    ttls_text = _field(columns, fields, "TTLs")
     types_text = (
-        _field(columns, index_by_name, "answer_types", number)
-        if "answer_types" in index_by_name
-        else _UNSET
+        _field(columns, fields, "answer_types") if "answer_types" in fields else _UNSET
     )
     answer_data = _parse_vector(answers_text)
     ttl_data = _parse_vector(ttls_text)
     type_data = _parse_vector(types_text)
     if ttl_data and len(ttl_data) != len(answer_data):
-        raise LogFormatError(
-            f"line {number}: {len(answer_data)} answers but {len(ttl_data)} TTLs"
-        )
+        raise LogFormatError(f"{len(answer_data)} answers but {len(ttl_data)} TTLs")
     answers = tuple(
         DnsAnswer(
             data=data,
@@ -239,9 +235,9 @@ def _dns_from_columns(
         )
         for i, data in enumerate(answer_data)
     )
-    rtt_text = _field(columns, index_by_name, "rtt", number)
+    rtt_text = _field(columns, fields, "rtt")
     rtt = 0.0 if rtt_text == _UNSET else float(rtt_text)
-    ts = float(_field(columns, index_by_name, "ts", number))
+    ts = float(_field(columns, fields, "ts"))
     # Boundary validation: the record types are plain NamedTuples, so
     # untrusted values are checked here, where the bytes come in.
     check_finite("ts", ts)
@@ -250,120 +246,155 @@ def _dns_from_columns(
         check_finite("answer TTL", answer.ttl)
     return DnsRecord(
         ts=ts,
-        uid=_field(columns, index_by_name, "uid", number),
-        orig_h=_field(columns, index_by_name, "id.orig_h", number),
-        orig_p=int(_field(columns, index_by_name, "id.orig_p", number)),
-        resp_h=_field(columns, index_by_name, "id.resp_h", number),
-        resp_p=int(_field(columns, index_by_name, "id.resp_p", number)),
-        proto=Proto.parse(_field(columns, index_by_name, "proto", number)),
-        query=_field(columns, index_by_name, "query", number),
-        qtype=_field(columns, index_by_name, "qtype_name", number),
-        rcode=_field(columns, index_by_name, "rcode_name", number),
+        uid=_field(columns, fields, "uid"),
+        orig_h=_field(columns, fields, "id.orig_h"),
+        orig_p=int(_field(columns, fields, "id.orig_p")),
+        resp_h=_field(columns, fields, "id.resp_h"),
+        resp_p=int(_field(columns, fields, "id.resp_p")),
+        proto=Proto.parse(_field(columns, fields, "proto")),
+        query=_field(columns, fields, "query"),
+        qtype=_field(columns, fields, "qtype_name"),
+        rcode=_field(columns, fields, "rcode_name"),
         rtt=rtt,
         answers=answers,
     )
 
 
-def _conn_from_columns(
-    columns: list[str], index_by_name: dict[str, int], number: int
-) -> ConnRecord:
-    """Build one :class:`ConnRecord` from a split data line."""
-    duration_text = _field(columns, index_by_name, "duration", number)
+def _conn_from_tsv(line: str, fields: dict[str, int] | None) -> ConnRecord:
+    """Build one :class:`ConnRecord` from a TSV data line."""
+    if fields is None:
+        raise LogFormatError("data before #fields header")
+    columns = line.split(_SEPARATOR)
+    # Zeek leaves duration and the byte counts unset on one-packet
+    # connections.
+    duration_text = _field(columns, fields, "duration")
+    orig_text = _field(columns, fields, "orig_bytes")
+    resp_text = _field(columns, fields, "resp_bytes")
     duration = 0.0 if duration_text == _UNSET else float(duration_text)
-    orig_bytes = int(_field(columns, index_by_name, "orig_bytes", number))
-    resp_bytes = int(_field(columns, index_by_name, "resp_bytes", number))
-    ts = float(_field(columns, index_by_name, "ts", number))
-    # Boundary validation (see _dns_from_columns).
+    orig_bytes = 0 if orig_text == _UNSET else int(orig_text)
+    resp_bytes = 0 if resp_text == _UNSET else int(resp_text)
+    ts = float(_field(columns, fields, "ts"))
+    # Boundary validation (see _dns_from_tsv).
     check_finite("ts", ts)
     check_elapsed("duration", duration)
     if orig_bytes < 0 or resp_bytes < 0:
-        raise LogFormatError(f"line {number}: byte counts cannot be negative")
+        raise LogFormatError("byte counts cannot be negative")
     return ConnRecord(
         ts=ts,
-        uid=_field(columns, index_by_name, "uid", number),
-        orig_h=_field(columns, index_by_name, "id.orig_h", number),
-        orig_p=int(_field(columns, index_by_name, "id.orig_p", number)),
-        resp_h=_field(columns, index_by_name, "id.resp_h", number),
-        resp_p=int(_field(columns, index_by_name, "id.resp_p", number)),
-        proto=Proto.parse(_field(columns, index_by_name, "proto", number)),
-        service=_field(columns, index_by_name, "service", number),
+        uid=_field(columns, fields, "uid"),
+        orig_h=_field(columns, fields, "id.orig_h"),
+        orig_p=int(_field(columns, fields, "id.orig_p")),
+        resp_h=_field(columns, fields, "id.resp_h"),
+        resp_p=int(_field(columns, fields, "id.resp_p")),
+        proto=Proto.parse(_field(columns, fields, "proto")),
+        service=_field(columns, fields, "service"),
         duration=duration,
         orig_bytes=orig_bytes,
         resp_bytes=resp_bytes,
-        conn_state=_field(columns, index_by_name, "conn_state", number),
+        conn_state=_field(columns, fields, "conn_state"),
     )
 
 
-def _read_log(stream: IO[str], parse, strict: bool) -> tuple[list, list[QuarantinedLine]]:
-    """The shared reader loop behind both log formats.
+_TSV_PARSERS = {"dns": _dns_from_tsv, "conn": _conn_from_tsv}
 
-    ``strict`` re-raises on the first malformed line (the historical
-    behaviour); otherwise each offending line is quarantined with its
-    line number and reason, and reading continues.
+
+def _json_parser(kind: str) -> Callable:
+    # Imported on the first JSON line, so TSV and RBLG runs never load it.
+    from repro.monitor import json_logs
+
+    return json_logs._dns_from_json if kind == "dns" else json_logs._conn_from_json
+
+
+def parse_lines(
+    lines: Iterable[str], kind: str, report: IngestReport | None = None
+) -> Iterator:
+    """Parse a text log's *lines* into *kind* (``"dns"`` or ``"conn"``) records.
+
+    The one line loop behind every text read, whole-file or tailed.
+    ``#`` lines are headers, and each ``#fields`` line re-maps the
+    columns, so a tail that crosses a rotation picks up the new file's
+    layout. The first data line decides the format of the rest: ``{``
+    starts Zeek JSON, anything else is TSV laid out by the latest
+    ``#fields`` header. The row parsers name no location; this loop
+    owns the line number. Without *report* a malformed line raises
+    :class:`LogFormatError` as ``line N: <reason>``. With a report the
+    line is quarantined into it with the bare reason, every parsed
+    record is counted into it, and reading goes on.
     """
-    index_by_name: dict[str, int] | None = None
-    records: list = []
-    quarantined: list[QuarantinedLine] = []
-    for number, line in enumerate(stream, start=1):
+    parse = None
+    fields: dict[str, int] | None = None
+    for number, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line:
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             if line.startswith("#fields"):
                 parts = line.split(_SEPARATOR)
-                index_by_name = {name: index for index, name in enumerate(parts[1:])}
+                fields = {name: index for index, name in enumerate(parts[1:])}
             continue
-        if index_by_name is None:
-            if strict:
-                raise LogFormatError(f"line {number}: data before #fields header")
-            quarantined.append(
-                QuarantinedLine(number, "data before #fields header", line)
-            )
-            continue
-        columns = line.split(_SEPARATOR)
+        if parse is None:
+            parse = _json_parser(kind) if line.lstrip()[:1] == "{" else _TSV_PARSERS[kind]
         try:
-            records.append(parse(columns, index_by_name, number))
+            record = parse(line, fields)
         except (ValueError, LogFormatError) as exc:
-            if strict:
-                if isinstance(exc, LogFormatError):
-                    raise
+            if report is None:
                 raise LogFormatError(f"line {number}: {exc}") from exc
-            quarantined.append(QuarantinedLine(number, str(exc), line))
-    return records, quarantined
+            report.quarantined.append(QuarantinedLine(number, str(exc), line))
+            continue
+        if report is not None:
+            report.parsed += 1
+        yield record
 
 
-def read_dns_log(stream: IO[str], strict: bool = True) -> list[DnsRecord]:
-    """Parse a dns.log written by :func:`write_dns_log` (or Zeek-like).
+def open_records(
+    path: str,
+    kind: str,
+    *,
+    report: IngestReport | None = None,
+    follow: bool = False,
+    idle_timeout_s: float | None = None,
+    poll_interval_s: float = 0.25,
+) -> Iterator:
+    """Lazily read the *kind* (``"dns"`` or ``"conn"``) records of the log at *path*.
 
-    With ``strict=False`` malformed lines are silently skipped; use
-    :func:`read_dns_log_lenient` to also get the quarantine report.
+    The one record source. An RBLG binlog is recognised by its 16-byte
+    header (:func:`~repro.monitor.binlog.sniff_binlog`) and decoded
+    block by block; any other file is a text log, Zeek TSV or JSON,
+    read through :func:`parse_lines`. Records come in file order, and
+    the file stays open until the iterator is exhausted or closed.
+
+    *report* makes the read lenient (see :func:`parse_lines`). A binlog
+    read only counts its records into it: each block is
+    checksum-verified, and a corrupt one raises either way.
+    ``follow=True`` tails a growing text log through :func:`tail_lines`,
+    surviving rotation and truncation, until *idle_timeout_s* passes
+    with no new data; a binlog is written whole and cannot be followed.
     """
-    records, _ = _read_log(stream, _dns_from_columns, strict)
-    return records
+    if kind not in _TSV_PARSERS:
+        raise ValueError(f"kind must be 'dns' or 'conn', got {kind!r}")
+    if binlog.sniff_binlog(path) is not None:
+        if follow:
+            raise LogFormatError("follow reads TSV and JSON logs, not RBLG binlogs")
+        # Looked up on the module at call time: perfbench's tracer
+        # wraps the module attribute, and the strict read must return
+        # the decoder's own iterator.
+        records = getattr(binlog, f"iter_{kind}_binlog")(path)
+        return records if report is None else _counting(records, report)
+    if follow:
+        lines = tail_lines(path, poll_interval_s, idle_timeout_s)
+        return parse_lines(lines, kind, report)
+    return _read_text(path, kind, report)
 
 
-def read_conn_log(stream: IO[str], strict: bool = True) -> list[ConnRecord]:
-    """Parse a conn.log written by :func:`write_conn_log` (or Zeek-like).
-
-    With ``strict=False`` malformed lines are silently skipped; use
-    :func:`read_conn_log_lenient` to also get the quarantine report.
-    """
-    records, _ = _read_log(stream, _conn_from_columns, strict)
-    return records
+def _read_text(path: str, kind: str, report: IngestReport | None) -> Iterator:
+    with open(path, "r", encoding="utf-8") as stream:
+        yield from parse_lines(stream, kind, report)
 
 
-def read_dns_log_lenient(stream: IO[str]) -> tuple[list[DnsRecord], IngestReport]:
-    """Parse a dns.log, quarantining malformed lines instead of raising."""
-    records, quarantined = _read_log(stream, _dns_from_columns, strict=False)
-    report = IngestReport(path_label="dns", parsed=len(records), quarantined=tuple(quarantined))
-    return records, report
-
-
-def read_conn_log_lenient(stream: IO[str]) -> tuple[list[ConnRecord], IngestReport]:
-    """Parse a conn.log, quarantining malformed lines instead of raising."""
-    records, quarantined = _read_log(stream, _conn_from_columns, strict=False)
-    report = IngestReport(path_label="conn", parsed=len(records), quarantined=tuple(quarantined))
-    return records, report
+def _counting(records: Iterator, report: IngestReport) -> Iterator:
+    for record in records:
+        report.parsed += 1
+        yield record
 
 
 def save_dns_log(path: str, records: Iterable[DnsRecord]) -> int:
@@ -378,106 +409,20 @@ def save_conn_log(path: str, records: Iterable[ConnRecord]) -> int:
         return write_conn_log(stream, records)
 
 
-def load_dns_log(path: str) -> list[DnsRecord]:
-    """Read a dns.log file from *path*."""
-    with open(path, "r", encoding="utf-8") as stream:
-        return read_dns_log(stream)
+def load_dns_log(path: str, report: IngestReport | None = None) -> list[DnsRecord]:
+    """Read every DNS record of the log at *path*, in any format.
 
-
-def load_conn_log(path: str) -> list[ConnRecord]:
-    """Read a conn.log file from *path*."""
-    with open(path, "r", encoding="utf-8") as stream:
-        return read_conn_log(stream)
-
-def _parse_lines(
-    lines: Iterable[str],
-    parse,
-    strict: bool,
-    quarantine: list[QuarantinedLine] | None,
-) -> Iterator:
-    """The shared incremental parse loop behind lazy and tailing readers.
-
-    Header (``#``) lines re-establish the field map whenever they
-    appear, so a tailed stream that crosses a rotation boundary picks
-    up the new file's header transparently. With ``strict`` a
-    malformed line raises :class:`LogFormatError`; otherwise it is
-    appended to *quarantine* (when given) and skipped, keeping a
-    long-lived tail alive across the occasional torn line.
+    ``list(open_records(path, "dns", report=report))``: the batch read.
     """
-    index_by_name: dict[str, int] | None = None
-    for number, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.startswith("#fields"):
-                parts = line.split(_SEPARATOR)
-                index_by_name = {name: index for index, name in enumerate(parts[1:])}
-            continue
-        if index_by_name is None:
-            if strict:
-                raise LogFormatError(f"line {number}: data before #fields header")
-            if quarantine is not None:
-                quarantine.append(
-                    QuarantinedLine(number, "data before #fields header", line)
-                )
-            continue
-        columns = line.split(_SEPARATOR)
-        try:
-            yield parse(columns, index_by_name, number)
-        except (ValueError, LogFormatError) as exc:
-            if strict:
-                if isinstance(exc, LogFormatError):
-                    raise
-                raise LogFormatError(f"line {number}: {exc}") from exc
-            if quarantine is not None:
-                quarantine.append(QuarantinedLine(number, str(exc), line))
+    return list(open_records(path, "dns", report=report))
 
 
-def _iter_log(
-    stream: IO[str],
-    parse,
-    strict: bool = True,
-    quarantine: list[QuarantinedLine] | None = None,
-) -> Iterator:
-    """Incremental variant of :func:`_read_log`.
+def load_conn_log(path: str, report: IngestReport | None = None) -> list[ConnRecord]:
+    """Read every connection record of the log at *path*, in any format.
 
-    Yields records as lines are parsed instead of materializing the
-    log, so week-scale logs stream through the one-pass analysis engine
-    in O(1) reader memory. With ``strict=False`` malformed lines are
-    collected into *quarantine* (a caller-owned list, inspected after
-    the stream drains) instead of raising.
+    See :func:`load_dns_log`.
     """
-    yield from _parse_lines(stream, parse, strict, quarantine)
-
-
-def iter_dns_log(
-    path: str,
-    strict: bool = True,
-    quarantine: list[QuarantinedLine] | None = None,
-) -> Iterator[DnsRecord]:
-    """Lazily read a dns.log from *path*, one record at a time.
-
-    The streaming counterpart of :func:`load_dns_log`: feed it straight
-    to :func:`repro.core.parallel.run_streaming_pipeline` and the full
-    record list never exists in memory. The file stays open until the
-    generator is exhausted or closed. ``strict=False`` plus a
-    *quarantine* list gives lenient ingest with a post-hoc audit trail."""
-    with open(path, "r", encoding="utf-8") as stream:
-        yield from _iter_log(stream, _dns_from_columns, strict, quarantine)
-
-
-def iter_conn_log(
-    path: str,
-    strict: bool = True,
-    quarantine: list[QuarantinedLine] | None = None,
-) -> Iterator[ConnRecord]:
-    """Lazily read a conn.log from *path*, one record at a time.
-
-    The streaming counterpart of :func:`load_conn_log`; see
-    :func:`iter_dns_log`."""
-    with open(path, "r", encoding="utf-8") as stream:
-        yield from _iter_log(stream, _conn_from_columns, strict, quarantine)
+    return list(open_records(path, "conn", report=report))
 
 
 def tail_lines(
@@ -574,36 +519,3 @@ def tail_lines(
             stream.close()
             return
         time.sleep(poll_interval_s)
-
-
-def tail_dns_log(
-    path: str,
-    poll_interval_s: float = 0.25,
-    idle_timeout_s: float | None = None,
-    stop: Callable[[], bool] | None = None,
-    strict: bool = True,
-    quarantine: list[QuarantinedLine] | None = None,
-) -> Iterator[DnsRecord]:
-    """Follow a growing dns.log, yielding records as they are written.
-
-    :func:`tail_lines` handles growth, rotation, and truncation; this
-    wrapper parses each completed line, re-reading headers whenever a
-    rotation delivers a fresh file. Lenient mode (``strict=False``)
-    quarantines torn or malformed lines instead of killing the tail."""
-    lines = tail_lines(path, poll_interval_s, idle_timeout_s, stop)
-    yield from _parse_lines(lines, _dns_from_columns, strict, quarantine)
-
-
-def tail_conn_log(
-    path: str,
-    poll_interval_s: float = 0.25,
-    idle_timeout_s: float | None = None,
-    stop: Callable[[], bool] | None = None,
-    strict: bool = True,
-    quarantine: list[QuarantinedLine] | None = None,
-) -> Iterator[ConnRecord]:
-    """Follow a growing conn.log, yielding records as they are written.
-
-    See :func:`tail_dns_log`."""
-    lines = tail_lines(path, poll_interval_s, idle_timeout_s, stop)
-    yield from _parse_lines(lines, _conn_from_columns, strict, quarantine)

@@ -18,13 +18,8 @@ from repro.monitor.binlog import (
     BINLOG_MAGIC,
     CONN_KIND,
     DNS_KIND,
-    convert_conn_binlog_to_tsv,
-    convert_conn_tsv_to_binlog,
-    convert_dns_binlog_to_tsv,
-    convert_dns_tsv_to_binlog,
     encode_conn_binlog,
     encode_dns_binlog,
-    is_binlog,
     iter_conn_binlog,
     iter_dns_binlog,
     load_conn_binlog,
@@ -35,7 +30,7 @@ from repro.monitor.binlog import (
     save_dns_binlog,
     sniff_binlog,
 )
-from repro.monitor.logs import save_conn_log, save_dns_log
+from repro.monitor.logs import IngestReport, open_records, save_conn_log, save_dns_log
 from repro.monitor.records import ConnRecord, DnsAnswer, DnsRecord, Proto
 
 from .strategies import full_conn_records, full_dns_records
@@ -161,9 +156,7 @@ class TestFilesAndIterators:
         assert sniff_binlog(dns_path) == DNS_KIND
         assert sniff_binlog(conn_path) == CONN_KIND
         assert sniff_binlog(tsv_path) is None
-        assert is_binlog(dns_path)
-        assert not is_binlog(tsv_path)
-        assert not is_binlog(str(tmp_path / "missing.rblg"))
+        assert sniff_binlog(str(tmp_path / "missing.rblg")) is None
 
 
 class TestCorruption:
@@ -204,10 +197,8 @@ class TestTsvConverters:
             binary = os.path.join(tmp, "dns.rblg")
             second = os.path.join(tmp, "dns2.log")
             save_dns_log(first, records)
-            total, report = convert_dns_tsv_to_binlog(first, binary)
-            assert total == len(records)
-            assert report is None
-            assert convert_dns_binlog_to_tsv(binary, second) == len(records)
+            assert save_dns_binlog(binary, open_records(first, "dns")) == len(records)
+            assert save_dns_log(second, open_records(binary, "dns")) == len(records)
             with open(first, "rb") as a, open(second, "rb") as b:
                 assert a.read() == b.read()
 
@@ -222,10 +213,8 @@ class TestTsvConverters:
             binary = os.path.join(tmp, "conn.rblg")
             second = os.path.join(tmp, "conn2.log")
             save_conn_log(first, records)
-            total, report = convert_conn_tsv_to_binlog(first, binary)
-            assert total == len(records)
-            assert report is None
-            assert convert_conn_binlog_to_tsv(binary, second) == len(records)
+            assert save_conn_binlog(binary, open_records(first, "conn")) == len(records)
+            assert save_conn_log(second, open_records(binary, "conn")) == len(records)
             with open(first, "rb") as a, open(second, "rb") as b:
                 assert a.read() == b.read()
 
@@ -235,7 +224,7 @@ class TestTsvConverters:
         with open(src, "a", encoding="utf-8") as stream:
             stream.write("not\ta\tvalid\trow\n")
         with pytest.raises(LogFormatError):
-            convert_dns_tsv_to_binlog(str(src), str(tmp_path / "dns.rblg"))
+            save_dns_binlog(str(tmp_path / "dns.rblg"), open_records(str(src), "dns"))
 
     def test_lenient_conversion_quarantines_garbage_row(self, tmp_path):
         src = tmp_path / "dns.log"
@@ -243,9 +232,9 @@ class TestTsvConverters:
         with open(src, "a", encoding="utf-8") as stream:
             stream.write("not\ta\tvalid\trow\n")
         dst = str(tmp_path / "dns.rblg")
-        total, report = convert_dns_tsv_to_binlog(str(src), dst, lenient=True)
+        report = IngestReport("dns")
+        total = save_dns_binlog(dst, open_records(str(src), "dns", report=report))
         assert total == 2
-        assert report is not None
         assert report.parsed == 2
         assert len(report.quarantined) == 1
         assert len(load_dns_binlog(dst)) == 2

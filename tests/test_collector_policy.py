@@ -24,7 +24,7 @@ from repro.cli import _print_report
 from repro.core.checkpoint import CheckpointConfig
 from repro.core.context import ContextStudy
 from repro.core.parallel import run_streaming_pipeline, run_streaming_summary
-from repro.monitor.logs import save_conn_log, save_dns_log, tail_conn_log, tail_dns_log
+from repro.monitor.logs import open_records, save_conn_log, save_dns_log
 from repro.workload.generate import collector_paused, generate_trace, generate_trace_with_pressure
 from repro.workload.scenario import ScenarioConfig
 
@@ -82,12 +82,16 @@ def _streaming_sketch(trace, dns_path, conn_path, checkpoint_path):
 
 
 def _tail_dns(trace, dns_path, conn_path, checkpoint_path):
-    tailed = list(tail_dns_log(dns_path, poll_interval_s=0.01, idle_timeout_s=0.05))
+    tailed = list(
+        open_records(dns_path, "dns", follow=True, poll_interval_s=0.01, idle_timeout_s=0.05)
+    )
     assert len(tailed) == len(trace.dns)
 
 
 def _tail_conn(trace, dns_path, conn_path, checkpoint_path):
-    tailed = list(tail_conn_log(conn_path, poll_interval_s=0.01, idle_timeout_s=0.05))
+    tailed = list(
+        open_records(conn_path, "conn", follow=True, poll_interval_s=0.01, idle_timeout_s=0.05)
+    )
     assert len(tailed) == len(trace.conns)
 
 

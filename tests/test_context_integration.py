@@ -14,7 +14,7 @@ from repro.core.context import ContextStudy, StudyOptions
 from repro.core.pairing import PairingPolicy
 from repro.errors import AnalysisError
 from repro.monitor.capture import Trace
-from repro.monitor.logs import read_conn_log, read_dns_log, write_conn_log, write_dns_log
+from repro.monitor.logs import parse_lines, write_conn_log, write_dns_log
 from repro.workload.scenario import smoke_scenario
 
 
@@ -141,7 +141,10 @@ class TestLogRoundtrip:
         write_conn_log(conn_buffer, study.trace.conns)
         dns_buffer.seek(0)
         conn_buffer.seek(0)
-        trace = Trace(dns=read_dns_log(dns_buffer), conns=read_conn_log(conn_buffer))
+        trace = Trace(
+            dns=list(parse_lines(dns_buffer, "dns")),
+            conns=list(parse_lines(conn_buffer, "conn")),
+        )
         trace.sort()
         reloaded = ContextStudy(trace)
         for cls in ConnClass:

@@ -166,14 +166,14 @@ def logs_with_checkpoint(tmp_path_factory):
     """Small dns/conn logs plus a checkpoint a finished streaming run left."""
     from repro.cli import main
     from repro.core.checkpoint import CheckpointConfig, run_checkpointed_stream
-    from repro.monitor.logs import iter_conn_log, iter_dns_log
+    from repro.monitor.logs import open_records
 
     out = str(tmp_path_factory.mktemp("collector"))
     assert main(["generate", "--houses", "3", "--hours", "1", "--seed", "2", "--out", out]) == 0
     dns_path, conn_path = f"{out}/dns.log", f"{out}/conn.log"
     checkpoint = CheckpointConfig(path=f"{out}/ck.bin", interval_s=60.0)
     run_checkpointed_stream(
-        iter_dns_log(dns_path), iter_conn_log(conn_path), checkpoint=checkpoint
+        open_records(dns_path, "dns"), open_records(conn_path, "conn"), checkpoint=checkpoint
     )
     assert os.path.exists(checkpoint.path)
     return dns_path, conn_path, checkpoint.path

@@ -30,10 +30,8 @@ from repro.dns.zone import DnsHierarchy
 from repro.errors import LogFormatError, SimulationError
 from repro.monitor.capture import MonitorCapture
 from repro.monitor.logs import (
-    read_conn_log,
-    read_conn_log_lenient,
-    read_dns_log,
-    read_dns_log_lenient,
+    IngestReport,
+    parse_lines,
     save_conn_log,
     save_dns_log,
     write_conn_log,
@@ -508,8 +506,8 @@ class TestFaultedEndToEnd:
         write_conn_log(conn_stream, faulted_trace.conns)
         dns_stream.seek(0)
         conn_stream.seek(0)
-        dns_back = read_dns_log(dns_stream)
-        conn_back = read_conn_log(conn_stream)
+        dns_back = list(parse_lines(dns_stream, "dns"))
+        conn_back = list(parse_lines(conn_stream, "conn"))
         assert [(r.uid, r.rcode, r.failed) for r in dns_back] == [
             (r.uid, r.rcode, r.failed) for r in faulted_trace.dns
         ]
@@ -585,7 +583,7 @@ class TestLenientIngest:
     def test_strict_read_raises_on_garbage(self):
         stream = io.StringIO(DNS_HEADER_AND_ROW + "garbage line\n")
         with pytest.raises(LogFormatError):
-            read_dns_log(stream)
+            list(parse_lines(stream, "dns"))
 
     def test_lenient_read_quarantines_with_line_numbers(self):
         stream = io.StringIO(
@@ -594,7 +592,8 @@ class TestLenientIngest:
             + "not-a-ts\tD2\t10.77.0.10\t40000\t8.8.8.8\t53\tudp\tx.com\tA\t"
             "NOERROR\t0.020000\t-\t-\t-\n"
         )
-        records, report = read_dns_log_lenient(stream)
+        report = IngestReport("dns")
+        records = list(parse_lines(stream, "dns", report))
         assert [r.uid for r in records] == ["D1"]
         assert report.parsed == 1
         assert len(report.quarantined) == 2
@@ -605,7 +604,8 @@ class TestLenientIngest:
 
     def test_lenient_read_quarantines_data_before_header(self):
         stream = io.StringIO("stray data first\n" + DNS_HEADER_AND_ROW)
-        records, report = read_dns_log_lenient(stream)
+        report = IngestReport("dns")
+        records = list(parse_lines(stream, "dns", report))
         assert len(records) == 1
         assert report.quarantined[0].reason == "data before #fields header"
 
@@ -617,7 +617,8 @@ class TestLenientIngest:
             "1.000000\t100\t200\tSF\n"
             "bad\tline\n"
         )
-        records, report = read_conn_log_lenient(stream)
+        report = IngestReport("conn")
+        records = list(parse_lines(stream, "conn", report))
         assert [r.uid for r in records] == ["C1"]
         assert report.path_label == "conn"
         assert len(report.quarantined) == 1
@@ -633,8 +634,9 @@ class TestLenientIngest:
         with pytest.raises(LogFormatError):
             ContextStudy.from_logs(str(dns_path), str(conn_path))
 
-        study = ContextStudy.from_logs(str(dns_path), str(conn_path), strict=False)
-        labels = {report.path_label: report for report in study.ingest_reports}
+        reports = (IngestReport("dns"), IngestReport("conn"))
+        study = ContextStudy.from_logs(str(dns_path), str(conn_path), reports=reports)
+        labels = {report.path_label: report for report in reports}
         assert len(labels["dns"].quarantined) == 1
         assert labels["conn"].ok
         assert len(study.trace.dns) == len(faulted_trace.dns)

@@ -22,11 +22,10 @@ from repro.monitor.binlog import (
     read_conn_binlog,
     read_dns_binlog,
 )
-from repro.monitor.json_logs import read_conn_json, read_dns_json, write_conn_json, write_dns_json
+from repro.monitor.json_logs import write_conn_json, write_dns_json
 from repro.monitor.logs import (
-    read_conn_log,
-    read_dns_log,
-    read_dns_log_lenient,
+    IngestReport,
+    parse_lines,
     save_conn_log,
     save_dns_log,
     write_conn_log,
@@ -54,25 +53,25 @@ def _conn(index: int) -> ConnRecord:
 def _tsv_dns(records):
     buffer = io.StringIO()
     write_dns_log(buffer, records)
-    return read_dns_log(io.StringIO(buffer.getvalue()))
+    return list(parse_lines(io.StringIO(buffer.getvalue()), "dns"))
 
 
 def _tsv_conn(records):
     buffer = io.StringIO()
     write_conn_log(buffer, records)
-    return read_conn_log(io.StringIO(buffer.getvalue()))
+    return list(parse_lines(io.StringIO(buffer.getvalue()), "conn"))
 
 
 def _json_dns(records):
     buffer = io.StringIO()
     write_dns_json(buffer, records)
-    return read_dns_json(io.StringIO(buffer.getvalue()))
+    return list(parse_lines(io.StringIO(buffer.getvalue()), "dns"))
 
 
 def _json_conn(records):
     buffer = io.StringIO()
     write_conn_json(buffer, records)
-    return read_conn_json(io.StringIO(buffer.getvalue()))
+    return list(parse_lines(io.StringIO(buffer.getvalue()), "conn"))
 
 
 def _rblg_dns(records):
@@ -138,7 +137,8 @@ def test_json_negative_values_rejected(read, record):
 def test_lenient_tsv_quarantines_the_line():
     buffer = io.StringIO()
     write_dns_log(buffer, [_dns(0), _dns(1)._replace(rtt=math.nan), _dns(2)])
-    records, report = read_dns_log_lenient(io.StringIO(buffer.getvalue()))
+    report = IngestReport("dns")
+    records = list(parse_lines(io.StringIO(buffer.getvalue()), "dns", report))
     assert [record.uid for record in records] == ["D0", "D2"]
     assert [line.line_number for line in report.quarantined] == [5]
     assert "rtt must be finite" in report.quarantined[0].reason

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import LogFormatError
 from repro.monitor.capture import MonitorCapture
-from repro.monitor.logs import (
-    read_conn_log,
-    read_dns_log,
-    write_conn_log,
-    write_dns_log,
-)
+from repro.monitor.logs import parse_lines, write_conn_log, write_dns_log
 from repro.monitor.records import ConnRecord, DnsAnswer, DnsRecord, Proto
 
 
@@ -78,7 +73,7 @@ class TestRecords:
         write_dns_log(buffer, [sample_dns(rtt=0.5)])
         tampered = buffer.getvalue().replace("0.500000", "-1.000000")
         with pytest.raises(LogFormatError):
-            read_dns_log(io.StringIO(tampered))
+            list(parse_lines(io.StringIO(tampered), "dns"))
 
     def test_conn_throughput(self):
         conn = sample_conn(duration=2.0, orig_bytes=1000, resp_bytes=3000)
@@ -96,9 +91,9 @@ class TestRecords:
         write_conn_log(buffer, [sample_conn(duration=7.25, orig_bytes=4321)])
         clean = buffer.getvalue()
         with pytest.raises(LogFormatError):
-            read_conn_log(io.StringIO(clean.replace("7.250000", "-7.250000")))
+            list(parse_lines(io.StringIO(clean.replace("7.250000", "-7.250000")), "conn"))
         with pytest.raises(LogFormatError):
-            read_conn_log(io.StringIO(clean.replace("\t4321\t", "\t-4321\t")))
+            list(parse_lines(io.StringIO(clean.replace("\t4321\t", "\t-4321\t")), "conn"))
 
     def test_proto_parse(self):
         assert Proto.parse("TCP") == Proto.TCP
@@ -112,7 +107,7 @@ class TestLogRoundtrip:
         buffer = io.StringIO()
         assert write_dns_log(buffer, records) == 2
         buffer.seek(0)
-        loaded = read_dns_log(buffer)
+        loaded = list(parse_lines(buffer, "dns"))
         assert len(loaded) == 2
         assert loaded[0].uid == "D0000001"
         assert loaded[0].addresses() == ("93.184.216.34",)
@@ -125,7 +120,7 @@ class TestLogRoundtrip:
         buffer = io.StringIO()
         assert write_conn_log(buffer, records) == 2
         buffer.seek(0)
-        loaded = read_conn_log(buffer)
+        loaded = list(parse_lines(buffer, "conn"))
         assert loaded[0].total_bytes == 20992
         assert loaded[1].proto == Proto.UDP
 
@@ -136,18 +131,18 @@ class TestLogRoundtrip:
                      "proto\tservice\tduration\torig_bytes\tresp_bytes\tconn_state\n")
         buffer.write("C1\t5.0\t10.0.0.1\t1000\t2.2.2.2\t80\ttcp\thttp\t1.0\t10\t20\tSF\n")
         buffer.seek(0)
-        loaded = read_conn_log(buffer)
+        loaded = list(parse_lines(buffer, "conn"))
         assert loaded[0].uid == "C1" and loaded[0].ts == 5.0
 
     def test_reader_rejects_data_before_header(self):
         buffer = io.StringIO("C1\t5.0\n")
         with pytest.raises(LogFormatError):
-            read_conn_log(buffer)
+            list(parse_lines(buffer, "conn"))
 
     def test_reader_rejects_missing_fields(self):
         buffer = io.StringIO("#fields\tts\tuid\n1.0\tC1\n")
         with pytest.raises(LogFormatError):
-            read_conn_log(buffer)
+            list(parse_lines(buffer, "conn"))
 
     def test_reader_rejects_mismatched_ttl_vector(self):
         buffer = io.StringIO()
@@ -157,7 +152,7 @@ class TestLogRoundtrip:
             "1.2.3.4,5.6.7.8\t300.000000\tA,A\n"
         )
         with pytest.raises(LogFormatError):
-            read_dns_log(io.StringIO(text))
+            list(parse_lines(io.StringIO(text), "dns"))
 
     def test_file_roundtrip(self, tmp_path):
         from repro.monitor.logs import load_conn_log, load_dns_log, save_conn_log, save_dns_log
@@ -188,7 +183,7 @@ class TestLogRoundtrip:
         buffer = io.StringIO()
         write_conn_log(buffer, records)
         buffer.seek(0)
-        loaded = read_conn_log(buffer)
+        loaded = list(parse_lines(buffer, "conn"))
         assert [r.uid for r in loaded] == [r.uid for r in records]
         assert all(a.resp_bytes == b.resp_bytes for a, b in zip(loaded, records))
 

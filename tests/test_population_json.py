@@ -7,12 +7,8 @@ import pytest
 from repro.core.population import characterize, popularity_skew
 from repro.errors import AnalysisError, LogFormatError
 from repro.monitor.capture import Trace
-from repro.monitor.json_logs import (
-    read_conn_json,
-    read_dns_json,
-    write_conn_json,
-    write_dns_json,
-)
+from repro.monitor.json_logs import write_conn_json, write_dns_json
+from repro.monitor.logs import parse_lines
 from repro.monitor.records import ConnRecord, DnsAnswer, DnsRecord, Proto
 from repro.workload.scenario import smoke_scenario
 
@@ -104,7 +100,7 @@ class TestJsonLogs:
         buffer = io.StringIO()
         assert write_dns_json(buffer, records) == 2
         buffer.seek(0)
-        loaded = read_dns_json(buffer)
+        loaded = list(parse_lines(buffer, "dns"))
         assert loaded[0].query == "x.example.com"
         assert loaded[0].addresses() == ("1.2.3.4",)
         assert loaded[0].rtt == pytest.approx(0.01)
@@ -114,7 +110,7 @@ class TestJsonLogs:
         buffer = io.StringIO()
         assert write_conn_json(buffer, records) == 2
         buffer.seek(0)
-        loaded = read_conn_json(buffer)
+        loaded = list(parse_lines(buffer, "conn"))
         assert loaded[0].uid == "C1"
         assert loaded[1].proto == Proto.UDP
 
@@ -122,19 +118,23 @@ class TestJsonLogs:
         buffer = io.StringIO()
         write_conn_json(buffer, [conn("C1", 1.0)])
         text = "\n" + buffer.getvalue() + "\n\n"
-        assert len(read_conn_json(io.StringIO(text))) == 1
+        assert len(list(parse_lines(io.StringIO(text), "conn"))) == 1
 
     def test_invalid_json_rejected(self):
         with pytest.raises(LogFormatError):
-            read_conn_json(io.StringIO("{not json}\n"))
+            list(parse_lines(io.StringIO("{not json}\n"), "conn"))
 
     def test_non_object_rejected(self):
-        with pytest.raises(LogFormatError):
-            read_conn_json(io.StringIO("[1, 2, 3]\n"))
+        # The first data line decides the format, so a non-object can
+        # only reach the JSON parser after an object has.
+        buffer = io.StringIO()
+        write_conn_json(buffer, [conn("C1", 1.0)])
+        with pytest.raises(LogFormatError, match="line 2: expected a JSON object"):
+            list(parse_lines(io.StringIO(buffer.getvalue() + "[1, 2, 3]\n"), "conn"))
 
     def test_missing_field_rejected(self):
         with pytest.raises(LogFormatError):
-            read_conn_json(io.StringIO('{"ts": 1.0}\n'))
+            list(parse_lines(io.StringIO('{"ts": 1.0}\n'), "conn"))
 
     def test_ttl_mismatch_rejected(self):
         line = (
@@ -143,21 +143,21 @@ class TestJsonLogs:
             '"answers":["1.2.3.4","5.6.7.8"],"TTLs":[60.0]}'
         )
         with pytest.raises(LogFormatError):
-            read_dns_json(io.StringIO(line + "\n"))
+            list(parse_lines(io.StringIO(line + "\n"), "dns"))
 
     def test_defaults_applied(self):
         line = (
             '{"ts":1.0,"uid":"D1","id.orig_h":"10.0.0.1","id.orig_p":1,'
             '"id.resp_h":"8.8.8.8","query":"q.com"}'
         )
-        loaded = read_dns_json(io.StringIO(line + "\n"))
+        loaded = list(parse_lines(io.StringIO(line + "\n"), "dns"))
         assert loaded[0].resp_p == 53
         assert loaded[0].qtype == "A"
         assert loaded[0].answers == ()
 
     def test_json_tsv_equivalence(self):
         """Both formats carry the same analysis-relevant content."""
-        from repro.monitor.logs import read_dns_log, write_dns_log
+        from repro.monitor.logs import write_dns_log
 
         records = [dns("D1", 1.0, "x.example.com")]
         tsv_buffer = io.StringIO()
@@ -166,8 +166,8 @@ class TestJsonLogs:
         json_buffer = io.StringIO()
         write_dns_json(json_buffer, records)
         json_buffer.seek(0)
-        from_tsv = read_dns_log(tsv_buffer)[0]
-        from_json = read_dns_json(json_buffer)[0]
+        from_tsv = list(parse_lines(tsv_buffer, "dns"))[0]
+        from_json = list(parse_lines(json_buffer, "dns"))[0]
         assert from_tsv.query == from_json.query
         assert from_tsv.addresses() == from_json.addresses()
         assert from_tsv.completed_at == pytest.approx(from_json.completed_at)

@@ -15,9 +15,9 @@ import pytest
 
 from repro.monitor.logs import (
     DNS_FIELDS,
+    IngestReport,
     dns_record_to_line,
-    iter_dns_log,
-    tail_dns_log,
+    open_records,
     tail_lines,
     write_header,
 )
@@ -186,7 +186,9 @@ def test_tail_dns_log_parses_records_across_rotation(tmp_path):
 
     writer = _writer([_rotate])
     records = list(
-        tail_dns_log(path, poll_interval_s=POLL_S, idle_timeout_s=IDLE_S)
+        open_records(
+            path, "dns", follow=True, poll_interval_s=POLL_S, idle_timeout_s=IDLE_S
+        )
     )
     writer.join()
     assert [record.uid for record in records] == ["a", "b", "c"]
@@ -197,7 +199,7 @@ def test_tail_dns_log_parses_records_across_rotation(tmp_path):
 def test_tail_dns_log_lenient_quarantines_torn_lines(tmp_path):
     path = str(tmp_path / "torn.log")
     _write_dns_file(path, [_dns(1.0, "a")])
-    quarantine = []
+    report = IngestReport("dns")
     writer = _writer(
         [
             lambda: _append(path, "torn\tgarbage\tline\n"),
@@ -205,18 +207,19 @@ def test_tail_dns_log_lenient_quarantines_torn_lines(tmp_path):
         ]
     )
     records = list(
-        tail_dns_log(
+        open_records(
             path,
+            "dns",
+            report=report,
+            follow=True,
             poll_interval_s=POLL_S,
             idle_timeout_s=IDLE_S,
-            strict=False,
-            quarantine=quarantine,
         )
     )
     writer.join()
     assert [record.uid for record in records] == ["a", "b"]
-    assert len(quarantine) == 1
-    assert "torn" in quarantine[0].text
+    assert len(report.quarantined) == 1
+    assert "torn" in report.quarantined[0].text
 
 
 def test_lazy_iterator_lenient_quarantine(tmp_path):
@@ -224,7 +227,7 @@ def test_lazy_iterator_lenient_quarantine(tmp_path):
     _write_dns_file(path, [_dns(1.0, "a")])
     _append(path, "broken\tline\n")
     _append(path, dns_record_to_line(_dns(2.0, "b")) + "\n")
-    quarantine = []
-    records = list(iter_dns_log(path, strict=False, quarantine=quarantine))
+    report = IngestReport("dns")
+    records = list(open_records(path, "dns", report=report))
     assert [record.uid for record in records] == ["a", "b"]
-    assert len(quarantine) == 1
+    assert len(report.quarantined) == 1
