@@ -6,8 +6,6 @@ deviations ... are small and the high-level take-aways remain
 unchanged". This ablation verifies the same robustness holds here.
 """
 
-import random
-
 from conftest import run_once
 
 from repro.core.classify import Classifier, ConnClass, class_breakdown
@@ -20,7 +18,7 @@ def test_ablation_pairing_policy(benchmark, study):
         pairer = Pairer(
             study.trace.dns,
             policy=PairingPolicy.RANDOM_NON_EXPIRED,
-            rng=random.Random(17),
+            seed=17,
         )
         paired = pairer.pair_all(study.trace.conns)
         classifier = Classifier(study.trace.dns)

@@ -67,11 +67,13 @@ from repro.monitor.records import ConnRecord, DnsRecord
 CHECKPOINT_MAGIC = "repro-stream-ckpt"
 """First header field of every checkpoint file."""
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 """Bumped on any incompatible change to the header or payload layout.
 
 Version 2: pairing-index expiry entries hold one shared candidate per
 lookup and its keys, not per-address (key, candidate) pairs.
+Version 3: each candidate carries its own reachability counts and
+first-use flag; the uid-keyed record states and used-uid set are gone.
 """
 
 DEFAULT_CHECKPOINT_INTERVAL_S = 172800.0
@@ -406,7 +408,8 @@ def run_checkpointed_stream(
     dns_records: Iterable[DnsRecord],
     conns: Iterable[ConnRecord],
     config: StreamingConfig | None = None,
-    checkpoint: CheckpointConfig | None = None,
+    *,
+    checkpoint: CheckpointConfig,
     resume: bool = False,
     telemetry: CheckpointTelemetry | None = None,
 ) -> StreamingState:
@@ -429,33 +432,21 @@ def run_checkpointed_stream(
     dns_reader = HashingReader(dns_records, "dns")
     conn_reader = HashingReader(conns, "conn")
     next_snapshot_ts: float | None = None
-    if checkpoint is None:
+    digest = config_digest(config)
+    if resume and os.path.exists(checkpoint.path):
+        header, analyzer, frontier = load_checkpoint(checkpoint.path, digest)
+        dns_reader.skip_to(header["dns_consumed"], header["dns_chain"])
+        conn_reader.skip_to(header["conn_consumed"], header["conn_chain"])
+        merger = StreamMerger.restore(dns_reader, conn_reader, frontier)
+        next_snapshot_ts = float(header["event_ts"]) + checkpoint.interval_s
+        if telemetry is not None:
+            telemetry.resumed = True
+            telemetry.resumed_event_ts = float(header["event_ts"])
+    else:
         analyzer = StreamingAnalyzer(config)
         merger = StreamMerger(dns_reader, conn_reader)
-        digest = ""
-    else:
-        digest = config_digest(config)
-        if resume and os.path.exists(checkpoint.path):
-            header, analyzer, frontier = load_checkpoint(checkpoint.path, digest)
-            dns_reader.skip_to(header["dns_consumed"], header["dns_chain"])
-            conn_reader.skip_to(header["conn_consumed"], header["conn_chain"])
-            merger = StreamMerger.restore(dns_reader, conn_reader, frontier)
-            next_snapshot_ts = float(header["event_ts"]) + checkpoint.interval_s
-            if telemetry is not None:
-                telemetry.resumed = True
-                telemetry.resumed_event_ts = float(header["event_ts"])
-        else:
-            analyzer = StreamingAnalyzer(config)
-            merger = StreamMerger(dns_reader, conn_reader)
     offer_dns = analyzer.offer_dns
     offer_conn = analyzer.offer_conn
-    if checkpoint is None:
-        for kind, record in merger:
-            if kind == "dns":
-                offer_dns(record)
-            else:
-                offer_conn(record)
-        return analyzer.finish()
     interval_s = checkpoint.interval_s
     due = stride = _CADENCE_STRIDE
     for kind, record in merger:

@@ -25,8 +25,8 @@ import bisect
 import enum
 import heapq
 import math
-import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from repro.errors import AnalysisError
@@ -74,32 +74,30 @@ class PairedConnection:
 
 @dataclass(slots=True)
 class _Candidate:
-    """One answered lookup as the index holds it.
+    """One answered lookup as the index holds it: its identity and lifecycle.
 
     A lookup has one candidate, shared by the buckets of every (house,
-    address) key its answers name. Nothing mutates it, and buckets,
-    tails and the expiry heap find it by identity, so sharing is exact.
+    address) key its answers name; buckets, tails and the expiry heap
+    find it by identity, so sharing is exact. The candidate, not the
+    record's Zeek ``uid``, is the lookup: Zeek gives every transaction
+    on one flow that flow's uid. ``live`` counts its (house, address)
+    placements still in a bucket and ``tails`` the keys where it is the
+    retained expired-fallback tail; it retires — and
+    :meth:`DnsIndex.drain_expired` returns it — when both hit zero, at
+    which point no future connection can ever pair with it. ``used``
+    says whether a connection has paired with it (first use, §5).
     """
 
     completed_at: float
     expires_at: float | None
     record: DnsRecord
     seq: int = 0
-
-
-@dataclass(slots=True)
-class _RecordState:
-    """Reference counts keeping one indexed record reachable.
-
-    ``live`` counts the (house, address) placements still in the index;
-    ``tails`` counts the keys where the record is the retained
-    expired-fallback tail. A record retires — and is emitted by
-    :meth:`DnsIndex.drain_expired` — when both hit zero, at which point
-    no future connection can ever pair with it.
-    """
-
     live: int = 0
     tails: int = 0
+    used: bool = False
+
+
+_completed_at = attrgetter("completed_at")
 
 
 class DnsIndex:
@@ -125,21 +123,22 @@ class DnsIndex:
 
     def __init__(self, dns_records: Sequence[DnsRecord] = ()) -> None:
         self._by_house_address: dict[tuple[str, str], list[_Candidate]] = {}
-        self._keys: dict[tuple[str, str], list[float]] = {}
         self.failed_records = 0
+        # Lookups reachable through a bucket or an expired-fallback
+        # tail — the population TTL drains shrink, which the streaming
+        # engine samples as its peak-memory telemetry.
+        self.live_records = 0
         self._seq = 0
         self._last_completed_s = -math.inf
         self._drained_to_s = -math.inf
         # Eviction state: a heap of pending expirations (each lookup's
         # candidate with the keys it sits under), per-key counts of
-        # already-evicted candidates, per-key expired-fallback tails
-        # (plus a heap to locate old tails for window trimming), and
-        # per-record reachability refcounts.
+        # already-evicted candidates, and per-key expired-fallback tails
+        # (plus a heap to locate old tails for window trimming).
         self._expiry_heap: list[tuple[float, int, _Candidate, list[tuple[str, str]]]] = []
         self._evicted: dict[tuple[str, str], int] = {}
         self._tails: dict[tuple[str, str], _Candidate] = {}
         self._tail_heap: list[tuple[float, int, tuple[str, str], _Candidate]] = []
-        self._states: dict[str, _RecordState] = {}
         for record in sorted(dns_records, key=lambda record: record.completed_at):
             self.offer(record)
 
@@ -167,32 +166,19 @@ class DnsIndex:
         if not addresses:
             return
         expires_at = record.expires_at
-        candidate = _Candidate(completed_at, expires_at, record, self._seq)
         house = record.orig_h
         keys = [(house, address) for address in addresses]
+        candidate = _Candidate(completed_at, expires_at, record, self._seq, len(keys))
         buckets = self._by_house_address
         for key in keys:
             bucket = buckets.get(key)
             if bucket is None:
                 buckets[key] = [candidate]
-                self._keys[key] = [completed_at]
             else:
                 bucket.append(candidate)
-                self._keys[key].append(completed_at)
-        state = self._states.setdefault(record.uid, _RecordState())
-        state.live += len(keys)
+        self.live_records += 1
         if expires_at is not None:
             heapq.heappush(self._expiry_heap, (expires_at, self._seq, candidate, keys))
-
-    @property
-    def live_records(self) -> int:
-        """DNS records currently held live by the index.
-
-        Counts records reachable through at least one candidate bucket
-        or expired-fallback tail — the population TTL drains shrink.
-        The streaming engine samples this as its peak-memory telemetry.
-        """
-        return len(self._states)
 
     def __getstate__(self) -> dict:
         """Pickle without the tail-locator heap; rebuilt on unpickle.
@@ -206,13 +192,9 @@ class DnsIndex:
         unchanged: entries sort by their unique ``(completed_at,
         seq)`` prefix, so the rebuilt heap pops live tails in the
         same order the original would have, minus the skipped stales.
-        ``_keys`` is likewise derivable: insertions and evictions
-        mutate it in lockstep with ``_by_house_address``, so each
-        entry is exactly its bucket's ``completed_at`` column.
         """
         state = self.__dict__.copy()
         del state["_tail_heap"]
-        del state["_keys"]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -222,19 +204,13 @@ class DnsIndex:
             for key, candidate in self._tails.items()
         ]
         heapq.heapify(self._tail_heap)
-        self._keys = {
-            key: [candidate.completed_at for candidate in bucket]
-            for key, bucket in self._by_house_address.items()
-        }
 
     def candidates_before(self, house: str, address: str, when: float) -> list[_Candidate]:
         """Candidates for (house, address) completed at or before *when*."""
         candidates = self._by_house_address.get((house, address))
         if not candidates:
             return []
-        times = self._keys[(house, address)]
-        cut = bisect.bisect_right(times, when)
-        return candidates[:cut]
+        return candidates[: bisect.bisect_right(candidates, when, key=_completed_at)]
 
     def viable_candidates(
         self, house: str, address: str, when: float
@@ -271,34 +247,30 @@ class DnsIndex:
             fallback = tail
         return [], expired_count, fallback
 
-    def drain_expired(self, now_s: float, window_s: float | None = None) -> list[DnsRecord]:
-        """Evict candidates expired at *now_s*; return fully retired records.
+    def drain_expired(self, now_s: float, window_s: float | None = None) -> list[_Candidate]:
+        """Evict candidates expired at *now_s*; return the retired ones.
 
         Evicted candidates leave only an integer count and a per-key
         most-recent-expired tail behind (see the class docstring). With
         *window_s*, tails whose lookups completed more than a window ago
         are dropped too — bounding memory strictly, at the cost of exact
         batch parity for expired-fallback pairings with gaps beyond the
-        window. A record with no remaining candidacy anywhere is
-        *retired*: it is returned exactly once, and can never pair with
-        any future connection.
+        window. A lookup with no remaining candidacy anywhere is
+        *retired*: its candidate is returned exactly once, and can never
+        pair with any future connection.
         """
         if now_s < self._drained_to_s:
             raise AnalysisError(
                 f"drain time must not regress: {now_s} before {self._drained_to_s}"
             )
         self._drained_to_s = now_s
-        retired: list[DnsRecord] = []
+        retired: list[_Candidate] = []
         while self._expiry_heap and self._expiry_heap[0][0] <= now_s:
             _, _, candidate, keys = heapq.heappop(self._expiry_heap)
-            record = candidate.record
-            state = self._states[record.uid]
             for key in keys:
                 self._evict_candidate(key, candidate, retired)
-                state.live -= 1
-            if state.live == 0 and state.tails == 0:
-                del self._states[record.uid]
-                retired.append(record)
+            candidate.live -= len(keys)
+            self._retire_if_unreachable(candidate, retired)
         if window_s is not None:
             horizon_s = now_s - window_s
             while self._tail_heap and self._tail_heap[0][0] < horizon_s:
@@ -312,19 +284,16 @@ class DnsIndex:
         self,
         key: tuple[str, str],
         candidate: _Candidate,
-        retired: list[DnsRecord],
+        retired: list[_Candidate],
     ) -> None:
         """Remove one expired candidate, updating the per-key tail."""
         bucket = self._by_house_address[key]
-        times = self._keys[key]
-        index = bisect.bisect_left(times, candidate.completed_at)
+        index = bisect.bisect_left(bucket, candidate.completed_at, key=_completed_at)
         while bucket[index] is not candidate:
             index += 1
         del bucket[index]
-        del times[index]
         if not bucket:
             del self._by_house_address[key]
-            del self._keys[key]
         self._evicted[key] = self._evicted.get(key, 0) + 1
         tail = self._tails.get(key)
         if tail is None or (candidate.completed_at, candidate.seq) > (
@@ -332,21 +301,23 @@ class DnsIndex:
             tail.seq,
         ):
             self._tails[key] = candidate
-            self._states[candidate.record.uid].tails += 1
+            candidate.tails += 1
             heapq.heappush(
                 self._tail_heap, (candidate.completed_at, candidate.seq, key, candidate)
             )
             if tail is not None:
                 self._release_tail(tail, retired)
 
-    def _release_tail(self, candidate: _Candidate, retired: list[DnsRecord]) -> None:
-        """Drop one tail reference; retire its record if unreachable."""
-        record = candidate.record
-        state = self._states[record.uid]
-        state.tails -= 1
-        if state.live == 0 and state.tails == 0:
-            del self._states[record.uid]
-            retired.append(record)
+    def _release_tail(self, candidate: _Candidate, retired: list[_Candidate]) -> None:
+        """Drop one tail reference; retire the candidate if unreachable."""
+        candidate.tails -= 1
+        self._retire_if_unreachable(candidate, retired)
+
+    def _retire_if_unreachable(self, candidate: _Candidate, retired: list[_Candidate]) -> None:
+        """Retire *candidate* once no bucket or tail reaches it."""
+        if candidate.live == 0 and candidate.tails == 0:
+            self.live_records -= 1
+            retired.append(candidate)
 
 
 class Pairer:
@@ -354,34 +325,21 @@ class Pairer:
 
     The random policy draws from per-house streams derived from *seed*,
     so a house's pairings do not depend on which other houses share the
-    trace (the shard-invariance contract of household sharding). An
-    explicitly supplied *rng* instead shares one stream across all
-    houses in chronological order — kept for ablations that want the
-    legacy behaviour, but not shard-invariant.
+    trace (the shard-invariance contract of household sharding).
     """
 
     def __init__(
         self,
         dns_records: Sequence[DnsRecord] = (),
         policy: PairingPolicy = PairingPolicy.MOST_RECENT,
-        rng: random.Random | None = None,
         seed: int = 0,
     ) -> None:
         self.index = DnsIndex(dns_records)
-        self.policy = policy
-        self._rng = rng
+        # Per-house random streams; None under the most-recent policy.
         self._streams: RandomStreams | None = None
-        if policy == PairingPolicy.RANDOM_NON_EXPIRED and rng is None:
+        if policy == PairingPolicy.RANDOM_NON_EXPIRED:
             self._streams = RandomStreams(derive_seed(seed, "pairing"))
-        self._used_uids: set[str] = set()
         self._last_conn_ts_s = -math.inf
-
-    def _rng_for(self, house: str) -> random.Random:
-        """The random stream used for *house* (shared when rng injected)."""
-        if self._rng is not None:
-            return self._rng
-        assert self._streams is not None
-        return self._streams.stream(house)
 
     def offer_dns(self, record: DnsRecord) -> None:
         """Index one DNS transaction (nondecreasing ``completed_at``)."""
@@ -393,8 +351,8 @@ class Pairer:
         Connections must arrive in timestamp order, after every DNS
         record completing at or before their start has been offered —
         the contract the streaming engine's event-time merge provides.
-        First-use bookkeeping persists across calls (unlike
-        :meth:`pair_all`, which starts a fresh pass).
+        A connection is its lookup's first use when no earlier
+        connection of this pairer's stream chose the same candidate.
         """
         if conn.ts < self._last_conn_ts_s:
             raise AnalysisError(
@@ -402,27 +360,44 @@ class Pairer:
                 f"{conn.ts} after {self._last_conn_ts_s}"
             )
         self._last_conn_ts_s = conn.ts
-        result = self._pair_one(conn, self._used_uids)
-        if result.dns is not None:
-            self._used_uids.add(result.dns.uid)
-        return result
+        non_expired, expired_count, fallback = self.index.viable_candidates(
+            conn.orig_h, conn.resp_h, conn.ts
+        )
+        if non_expired:
+            if self._streams is not None:
+                chosen = self._streams.stream(conn.orig_h).choice(non_expired)
+            else:
+                chosen = non_expired[-1]
+        elif fallback is not None:
+            # All candidates are expired: use the most recent one (§4).
+            chosen = fallback
+        else:
+            return PairedConnection(
+                conn=conn, dns=None, candidates=0, expired_pairing=False, first_use=False
+            )
+        first_use = not chosen.used
+        chosen.used = True
+        return PairedConnection(
+            conn=conn,
+            dns=chosen.record,
+            candidates=len(non_expired),
+            expired_pairing=not non_expired,
+            first_use=first_use,
+            expired_candidates=expired_count,
+        )
 
     def drain_expired(self, now_s: float, window_s: float | None = None) -> list[DnsRecord]:
         """Evict candidates expired at *now_s*; return retired, never-paired records.
 
-        Thin wrapper over :meth:`DnsIndex.drain_expired` that also
-        settles first-use bookkeeping: a retired record's used-flag is
-        final, so its uid leaves the used set (keeping it bounded) and
-        only the never-paired records — the §5.2 "fetched but unused"
-        population — are passed through.
+        Thin wrapper over :meth:`DnsIndex.drain_expired` that passes
+        through the records of the retired lookups no connection used —
+        the §5.2 "fetched but unused" population.
         """
-        unpaired: list[DnsRecord] = []
-        for record in self.index.drain_expired(now_s, window_s=window_s):
-            if record.uid in self._used_uids:
-                self._used_uids.discard(record.uid)
-            else:
-                unpaired.append(record)
-        return unpaired
+        return [
+            candidate.record
+            for candidate in self.index.drain_expired(now_s, window_s=window_s)
+            if not candidate.used
+        ]
 
     def pair_all(self, conns: list[ConnRecord]) -> list[PairedConnection]:
         """Pair every connection, in timestamp order.
@@ -430,54 +405,22 @@ class Pairer:
         First-use accounting (is this connection the first to use its
         paired lookup?) requires processing connections chronologically;
         the input is sorted internally, and results are returned in that
-        chronological order. A thin wrapper over :meth:`offer`: each
-        call starts a fresh first-use pass (random-policy streams, by
-        contrast, persist across calls).
+        chronological order. A thin wrapper over :meth:`offer`, so it
+        continues this pairer's connection stream.
         """
-        ordered = sorted(conns, key=lambda conn: conn.ts)
-        self._used_uids = set()
-        self._last_conn_ts_s = -math.inf
-        return [self.offer(conn) for conn in ordered]
-
-    def _pair_one(self, conn: ConnRecord, used_uids: set[str]) -> PairedConnection:
-        non_expired, expired_count, fallback = self.index.viable_candidates(
-            conn.orig_h, conn.resp_h, conn.ts
-        )
-        if non_expired:
-            if self.policy == PairingPolicy.RANDOM_NON_EXPIRED:
-                chosen = self._rng_for(conn.orig_h).choice(non_expired)
-            else:
-                chosen = non_expired[-1]
-            expired_pairing = False
-        elif fallback is not None:
-            # All candidates are expired: use the most recent one (§4).
-            chosen = fallback
-            expired_pairing = True
-        else:
-            return PairedConnection(
-                conn=conn, dns=None, candidates=0, expired_pairing=False, first_use=False
-            )
-        return PairedConnection(
-            conn=conn,
-            dns=chosen.record,
-            candidates=len(non_expired),
-            expired_pairing=expired_pairing,
-            first_use=chosen.record.uid not in used_uids,
-            expired_candidates=expired_count,
-        )
+        return [self.offer(conn) for conn in sorted(conns, key=lambda conn: conn.ts)]
 
 
 def pair_trace(
     dns_records: list[DnsRecord],
     conns: list[ConnRecord],
     policy: PairingPolicy = PairingPolicy.MOST_RECENT,
-    rng: random.Random | None = None,
     seed: int = 0,
 ) -> list[PairedConnection]:
     """Pair a full trace (convenience wrapper around :class:`Pairer`)."""
     if not conns:
         raise AnalysisError("cannot pair an empty connection log")
-    return Pairer(dns_records, policy=policy, rng=rng, seed=seed).pair_all(conns)
+    return Pairer(dns_records, policy=policy, seed=seed).pair_all(conns)
 
 
 @dataclass(frozen=True, slots=True)
@@ -542,11 +485,13 @@ def unused_lookup_fraction(dns_records: list[DnsRecord], paired: list[PairedConn
     Failed transactions are excluded from both numerator and denominator:
     they *cannot* pair by construction, so counting them would inflate
     the unused-lookup statistic with a population the paper's §5.2
-    question (answers fetched but never used) is not about.
+    question (answers fetched but never used) is not about. A lookup is
+    the record object the pairer was given, not its Zeek ``uid``, which
+    every transaction on one flow shares.
     """
     answered = [record for record in dns_records if not record.failed]
     if not answered:
         return 0.0
-    used = {p.dns.uid for p in paired if p.dns is not None}
-    unused = sum(1 for record in answered if record.uid not in used)
+    used = {id(p.dns) for p in paired if p.dns is not None}
+    unused = sum(1 for record in answered if id(record) not in used)
     return unused / len(answered)

@@ -141,13 +141,14 @@ def prefetch_stats(
     # speculative lookups is used-P-lookups / (used-P-lookups + unused).
     p_items = [item for item in classified if item.conn_class == ConnClass.PREFETCHED]
     lc_items = [item for item in classified if item.conn_class == ConnClass.LOCAL_CACHE]
-    p_lookup_uids = {item.dns.uid for item in p_items if item.dns is not None}
+    # A lookup is its record object (see ``unused_lookup_fraction``).
+    p_lookups = {id(item.dns) for item in p_items if item.dns is not None}
     # ``unused`` is a fraction of *answered* lookups; failed transactions
     # delivered nothing to use, so they are not speculative candidates.
     answered = sum(1 for record in dns_records if not record.failed)
     unused_count = round(unused * answered)
-    speculative = len(p_lookup_uids) + unused_count
-    used_fraction = len(p_lookup_uids) / speculative if speculative else 0.0
+    speculative = len(p_lookups) + unused_count
+    used_fraction = len(p_lookups) / speculative if speculative else 0.0
     p_lags = [item.gap for item in p_items if item.gap is not None]
     lc_lags = [item.gap for item in lc_items if item.gap is not None]
     return PrefetchStats(

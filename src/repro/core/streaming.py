@@ -118,9 +118,6 @@ class StreamingConfig:
     epsilon: float = DEFAULT_SKETCH_EPSILON
     window_s: float | None = None
     drain_interval_s: float = DEFAULT_DRAIN_INTERVAL_S
-    knee_reference: float = KNEE_REFERENCE
-    abs_threshold: float = ABS_INSIGNIFICANT
-    rel_threshold: float = REL_INSIGNIFICANT
 
     def __post_init__(self) -> None:
         if self.drain_interval_s <= 0:
@@ -516,7 +513,7 @@ class StreamingAnalyzer:
         else:
             assert state.gap_sketch is not None
             state.gap_sketch.offer(clamped_gap)
-        if clamped_gap <= self.config.knee_reference:
+        if clamped_gap <= KNEE_REFERENCE:
             state.first_use_below_total += 1
             state.first_use_below_hits += 1 if result.first_use else 0
         else:
@@ -533,8 +530,8 @@ class StreamingAnalyzer:
         state.blocked_conns += 1
         rtt = result.dns.rtt
         contribution = self._contribution_percent(rtt, conn.duration)
-        absolute_bad = rtt > self.config.abs_threshold
-        relative_bad = contribution > self.config.rel_threshold
+        absolute_bad = rtt > ABS_INSIGNIFICANT
+        relative_bad = contribution > REL_INSIGNIFICANT
         if absolute_bad and relative_bad:
             state.cell_sig += 1
         elif absolute_bad:
@@ -644,7 +641,7 @@ def finalize_result(
     if not state.gaps:
         raise AnalysisError("no paired connections: cannot analyse gaps")
     gap_cdf = Cdf.from_values(state.gaps)
-    knee, excluded = find_gap_knee(gap_cdf.xs, config.knee_reference)
+    knee, excluded = find_gap_knee(gap_cdf.xs)
     gap_analysis = GapAnalysis(
         cdf=gap_cdf,
         knee=knee,

@@ -299,11 +299,6 @@ class DnsCache:
         """The configured eviction policy (see :data:`EVICTION_POLICIES`)."""
         return self._policy
 
-    @property
-    def serves_stale(self) -> bool:
-        """True when expired entries may be served inside a stale budget."""
-        return self._serves_stale
-
     def __len__(self) -> int:
         return len(self._entries)
 

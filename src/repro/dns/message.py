@@ -8,7 +8,7 @@ sections. Helper constructors build the common shapes: a recursive query
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.dns.name import DomainName
 from repro.dns.rr import ResourceRecord, RRClass, RRType
@@ -166,10 +166,6 @@ class Message:
             rdata = cnames[0].rdata
             assert isinstance(rdata, NameRecordData)
             current = rdata.target
-
-    def with_id(self, msg_id: int) -> "Message":
-        """A copy of this message carrying *msg_id*."""
-        return replace(self, msg_id=msg_id)
 
 
 def make_query(

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import ipaddress
-import struct
 from dataclasses import dataclass
 
 from repro.dns.name import DomainName
@@ -300,9 +299,3 @@ def ns_record(zone: DomainName | str, nameserver: DomainName | str, ttl: int = 1
     """Convenience constructor for an IN NS record."""
     return ResourceRecord(DomainName(zone), RRType.NS, NameRecordData(DomainName(nameserver)), ttl)
 
-
-def struct_pack_u16(value: int) -> bytes:
-    """Pack an unsigned 16-bit integer, validating range."""
-    if not 0 <= value <= 0xFFFF:
-        raise WireFormatError(f"u16 out of range: {value}")
-    return struct.pack("!H", value)

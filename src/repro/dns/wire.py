@@ -147,10 +147,6 @@ class _Reader:
         self.offset += count
         return chunk
 
-    def read_u8(self) -> int:
-        """Consume one octet as an unsigned integer."""
-        return self.read(1)[0]
-
     def read_u16(self) -> int:
         """Consume two octets as a network-order unsigned integer."""
         return struct.unpack("!H", self.read(2))[0]

@@ -57,11 +57,6 @@ class Zone:
         self._names_cache = None
         self._suffix_cache = None
 
-    def add_many(self, records: Iterable[ResourceRecord]) -> None:
-        """Add several static records."""
-        for record in records:
-            self.add(record)
-
     def add_dynamic(self, name: DomainName | str, rtype: RRType, provider: DynamicProvider) -> None:
         """Register a per-query RRset provider (e.g. CDN edge mapping)."""
         owner = DomainName(name)

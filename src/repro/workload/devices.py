@@ -211,13 +211,6 @@ class Device:
             outcome.failed,
         )
 
-    def _cached_addresses(self, hostname: str) -> tuple[str, ...]:
-        """Addresses currently held (possibly expired) in the local cache."""
-        entry = self.stub.cache.peek(cache_key(hostname))
-        if entry is None:
-            return ()
-        return tuple(rr.address for rr in entry.records if rr.is_address())
-
     def _stale_fallback(
         self, resolution: Resolution, addresses: tuple[str, ...]
     ) -> Resolution | None:

@@ -31,7 +31,7 @@ class HousePlan:
 
     The plan phase consumes the shared ``"houses"`` stream exactly as
     the historical serial builder did — the quota/shuffle draws of
-    :meth:`HouseholdBuilder.plan_kinds` followed by one 64-bit seed per
+    :func:`_plan_kinds` followed by one 64-bit seed per
     house — so house composition is byte-identical no matter how the
     houses are later partitioned across shards: every draw a house makes
     derives from its own ``seed``, never from a shared stream.
@@ -115,10 +115,6 @@ class House:
         if self._next_nat_port > NAT_PORT_HIGH:
             self._next_nat_port = NAT_PORT_LOW
         return port
-
-    def devices_of_kind(self, kind: str) -> list[Device]:
-        """All devices of the given kind."""
-        return [device for device in self.devices if device.kind == kind]
 
     def __repr__(self) -> str:
         return f"House({self.index}, ip={self.ip!r}, kind={self.kind!r}, devices={len(self.devices)})"
@@ -209,23 +205,6 @@ class HouseholdBuilder:
         )
 
     # -- house construction -------------------------------------------------
-
-    def plan_kinds(self, count: int) -> list[str]:
-        """Assign house kinds by quota (stratified), shuffled.
-
-        Independent draws make the rare kinds (Cloudflare at 3.8%) far
-        too noisy at realistic house counts; quotas keep every scenario
-        faithful to Table 1's platform mix.
-        """
-        return _plan_kinds(self.mix, self.rng, count)
-
-    def build_house(self, index: int, kind: str | None = None) -> House:
-        """Sample one complete house (of the given kind, or sampled)."""
-        if kind is None:
-            kind = self.plan_kinds(1)[0]
-        return self.build_house_from_plan(
-            HousePlan(index=index, kind=kind, seed=self.rng.getrandbits(64))
-        )
 
     def build_house_from_plan(self, plan: HousePlan) -> House:
         """Build one complete house entirely from its fixed plan.
@@ -330,7 +309,12 @@ class HouseholdBuilder:
 
 
 def _plan_kinds(mix: HouseholdMixConfig, rng: random.Random, count: int) -> list[str]:
-    """The quota/shuffle kind assignment behind :meth:`plan_kinds`."""
+    """Assign house kinds by quota (stratified), shuffled.
+
+    Independent draws make the rare kinds (Cloudflare at 3.8%) far too
+    noisy at realistic house counts; quotas keep every scenario faithful
+    to Table 1's platform mix.
+    """
     quotas = (
         ("forwarder", mix.forwarder_fraction),
         ("googledns", mix.googledns_fraction),

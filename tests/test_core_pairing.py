@@ -1,7 +1,5 @@
 """Tests for repro.core.pairing: the DN-Hunter implementation."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,7 +125,7 @@ class TestRandomPolicy:
     def test_random_policy_chooses_among_candidates(self):
         records = [dns(f"D{i}", float(i), "1.2.3.4", ttl=10000.0) for i in range(10)]
         conns = [conn(f"C{i}", 100.0 + i, "1.2.3.4") for i in range(50)]
-        paired = pair_trace(records, conns, policy=PairingPolicy.RANDOM_NON_EXPIRED, rng=random.Random(5))
+        paired = pair_trace(records, conns, policy=PairingPolicy.RANDOM_NON_EXPIRED, seed=5)
         chosen = {item.dns.uid for item in paired}
         assert len(chosen) > 3  # spread across candidates
 
