@@ -55,6 +55,7 @@ from repro.dns.cache import EVICTION_POLICIES
 from repro.monitor.binlog import DNS_KIND, save_conn_binlog, save_dns_binlog, sniff_binlog
 from repro.monitor.logs import IngestReport, open_records, save_conn_log, save_dns_log
 from repro.report.tables import (
+    render_failure_rates,
     render_pipeline_report,
     render_pressure,
     render_streaming_summary,
@@ -214,30 +215,22 @@ def _run_streaming_report(
             path=args.checkpoint, interval_s=args.checkpoint_interval_s
         )
         telemetry = CheckpointTelemetry()
+    run = run_streaming_pipeline if args.exact_stats else run_streaming_summary
+    result = run(
+        dns_records,
+        conns,
+        workers=args.workers,
+        window_s=args.window_s,
+        checkpoint=checkpoint,
+        resume=args.resume,
+        checkpoint_telemetry=telemetry,
+    )
     if args.exact_stats:
-        result = run_streaming_pipeline(
-            dns_records,
-            conns,
-            workers=args.workers,
-            window_s=args.window_s,
-            checkpoint=checkpoint,
-            resume=args.resume,
-            checkpoint_telemetry=telemetry,
-        )
         report = render_pipeline_report(result)
         if ingest is not None:
             _print_ingest_reports(ingest, sys.stderr)
     else:
-        summary = run_streaming_summary(
-            dns_records,
-            conns,
-            workers=args.workers,
-            window_s=args.window_s,
-            checkpoint=checkpoint,
-            resume=args.resume,
-            checkpoint_telemetry=telemetry,
-        )
-        report = render_streaming_summary(summary, ingest=ingest)
+        report = render_streaming_summary(result, ingest=ingest)
     if checkpoint is not None:
         # The run completed: the checkpoint has nothing left to resume.
         discard_checkpoint(checkpoint.path)
@@ -392,31 +385,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_failure_stats(study: ContextStudy) -> None:
-    stats = study.failure_stats()
-    failed = {
-        resolver: stat for resolver, stat in stats.items() if stat.failures or stat.nxdomains
-    }
-    if not failed:
-        return
-    print()
-    print("Resolver failure rates:")
-    for resolver in sorted(failed):
-        stat = failed[resolver]
-        print(
-            f"  {resolver}: {stat.queries} queries, "
-            f"{stat.servfails} SERVFAIL, {stat.timeouts} timeout, "
-            f"{stat.refused} REFUSED, {stat.nxdomains} NXDOMAIN "
-            f"({100 * stat.failure_rate:.2f}% failed)"
-        )
-
-
 def _print_report(study: ContextStudy) -> None:
     print(study.population().summary())
     print()
     print("Table 1 — resolver platform usage:")
     print(render_table1(study.resolver_usage()))
-    _print_failure_stats(study)
+    failures = render_failure_rates(study.failure_stats())
+    if failures:
+        print()
+        print(failures)
     print()
     print("Table 2 — DNS information origin by connection:")
     print(render_table2(study.breakdown))
@@ -504,12 +481,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         trace = generate_trace(config, shards=shards, workers=args.workers)
     if args.streaming:
         _run_streaming_report(args, trace.dns, trace.conns)
-        if pressure is not None:
-            print()
-            print("Cache/connection pressure:")
-            print(render_pressure(pressure))
-        return 0
-    _print_report(ContextStudy(trace))
+    else:
+        _print_report(ContextStudy(trace))
     if pressure is not None:
         print()
         print("Cache/connection pressure:")

@@ -10,8 +10,9 @@ first user of their lookup vs 21% beyond) and then adopts a
 conservative 100 ms threshold for the rest of the analysis.
 
 :class:`GapAnalysis` carries the raw first-use counters alongside the
-derived fractions, so the streaming engine can build the identical
-object from its online counters and buffered gap sample.
+derived fractions. :meth:`GapAnalysis.from_sample` builds it from the
+gap sample and those counters; the per-connection reference and the
+streaming engine collect both their own way and call it.
 """
 
 from __future__ import annotations
@@ -53,6 +54,45 @@ class GapAnalysis:
     first_use_above_hits: int = 0
     first_use_above_total: int = 0
 
+    @classmethod
+    def from_sample(
+        cls,
+        gaps: Sequence[float],
+        first_use_counts: tuple[int, int, int, int],
+        blocking_threshold: float,
+    ) -> "GapAnalysis":
+        """Figure 1 from the clamped gaps and the first-use counters
+        ``(below_hits, below_total, above_hits, above_total)`` split at
+        :data:`KNEE_REFERENCE`.
+
+        The knee falls back to that 20 ms reference when the sample
+        defeats the knee finder (see
+        :func:`repro.core.stats.find_knee_detailed`).
+        """
+        if blocking_threshold <= 0:
+            raise AnalysisError(f"blocking threshold must be positive, got {blocking_threshold}")
+        if not gaps:
+            raise AnalysisError("no paired connections: cannot analyse gaps")
+        cdf = Cdf.from_values(gaps)
+        try:
+            found = find_knee_detailed(cdf.xs, log_x=True)
+            knee, excluded = found.knee, found.excluded_samples
+        except AnalysisError:
+            knee, excluded = KNEE_REFERENCE, 0
+        below_hits, below_total, above_hits, above_total = first_use_counts
+        return cls(
+            cdf=cdf,
+            knee=knee,
+            first_use_below_knee=below_hits / below_total if below_total else 0.0,
+            first_use_above_knee=above_hits / above_total if above_total else 0.0,
+            blocking_threshold=blocking_threshold,
+            knee_excluded_samples=excluded,
+            first_use_below_hits=below_hits,
+            first_use_below_total=below_total,
+            first_use_above_hits=above_hits,
+            first_use_above_total=above_total,
+        )
+
     def blocked_fraction(self) -> float:
         """Fraction of paired connections at or below the threshold."""
         return self.cdf.evaluate(self.blocking_threshold)
@@ -62,27 +102,11 @@ class GapAnalysis:
         return self.cdf.series(points)
 
 
-def find_gap_knee(gaps: Sequence[float], knee_reference: float = KNEE_REFERENCE) -> tuple[float, int]:
-    """The gap-CDF knee and excluded-sample count, falling back to the
-    paper's 20 ms reference when the sample defeats the knee finder.
-
-    Shared by the per-connection analysis and the streaming engine's
-    finalize step so both agree bit-for-bit."""
-    try:
-        result = find_knee_detailed(gaps, log_x=True)
-    except AnalysisError:
-        return knee_reference, 0
-    return result.knee, result.excluded_samples
-
-
 def analyze_gaps(
     paired: list[PairedConnection],
     blocking_threshold: float = DEFAULT_BLOCKING_THRESHOLD,
-    knee_reference: float = KNEE_REFERENCE,
 ) -> GapAnalysis:
     """Build the Figure 1 analysis from paired connections."""
-    if blocking_threshold <= 0:
-        raise AnalysisError(f"blocking threshold must be positive, got {blocking_threshold}")
     gaps: list[float] = []
     below_hits = below_total = above_hits = above_total = 0
     for item in paired:
@@ -91,27 +115,14 @@ def analyze_gaps(
             continue
         gap = max(0.0, gap)
         gaps.append(gap)
-        if gap <= knee_reference:
+        if gap <= KNEE_REFERENCE:
             below_total += 1
             below_hits += 1 if item.first_use else 0
         else:
             above_total += 1
             above_hits += 1 if item.first_use else 0
-    if not gaps:
-        raise AnalysisError("no paired connections: cannot analyse gaps")
-    cdf = Cdf.from_values(gaps)
-    knee, excluded = find_gap_knee(cdf.xs, knee_reference)
-    return GapAnalysis(
-        cdf=cdf,
-        knee=knee,
-        first_use_below_knee=below_hits / below_total if below_total else 0.0,
-        first_use_above_knee=above_hits / above_total if above_total else 0.0,
-        blocking_threshold=blocking_threshold,
-        knee_excluded_samples=excluded,
-        first_use_below_hits=below_hits,
-        first_use_below_total=below_total,
-        first_use_above_hits=above_hits,
-        first_use_above_total=above_total,
+    return GapAnalysis.from_sample(
+        gaps, (below_hits, below_total, above_hits, above_total), blocking_threshold
     )
 
 

@@ -67,13 +67,16 @@ from repro.monitor.records import ConnRecord, DnsRecord
 CHECKPOINT_MAGIC = "repro-stream-ckpt"
 """First header field of every checkpoint file."""
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 """Bumped on any incompatible change to the header or payload layout.
 
 Version 2: pairing-index expiry entries hold one shared candidate per
 lookup and its keys, not per-address (key, candidate) pairs.
 Version 3: each candidate carries its own reachability counts and
 first-use flag; the uid-keyed record states and used-uid set are gone.
+Version 4: ``StreamingConfig``, pickled with the analyzer and digested
+into the header, lost its sketch-epsilon and drain-interval fields; the
+engine reads ``DEFAULT_SKETCH_EPSILON`` and ``DEFAULT_DRAIN_INTERVAL_S``.
 """
 
 DEFAULT_CHECKPOINT_INTERVAL_S = 172800.0

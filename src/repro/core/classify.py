@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from repro.core.blocking import DEFAULT_BLOCKING_THRESHOLD
@@ -33,7 +33,7 @@ from repro.monitor.records import ConnRecord, DnsRecord
 
 
 class ConnClass(enum.Enum):
-    """DNS-information origin classes of the paper's Table 2."""
+    """DNS-information origin classes of the paper's Table 2, in its row order."""
 
     NO_DNS = "N"
     LOCAL_CACHE = "LC"
@@ -394,6 +394,12 @@ class ClassBreakdown:
 
     counts: dict[ConnClass, int]
 
+    @classmethod
+    def from_counts(cls, n: int, lc: int, p: int, sc: int, r: int) -> "ClassBreakdown":
+        """Table 2 from its five class counts; empty classes are left out."""
+        counts = zip(ConnClass, (n, lc, p, sc, r))
+        return cls(counts={conn_class: count for conn_class, count in counts if count})
+
     @property
     def total(self) -> int:
         """Number of classified connections across all classes."""
@@ -428,13 +434,7 @@ class ClassBreakdown:
             ConnClass.RESOLUTION: "Requires Resolution",
         }
         rows = []
-        for conn_class in (
-            ConnClass.NO_DNS,
-            ConnClass.LOCAL_CACHE,
-            ConnClass.PREFETCHED,
-            ConnClass.SHARED_CACHE,
-            ConnClass.RESOLUTION,
-        ):
+        for conn_class in ConnClass:
             rows.append(
                 (
                     conn_class.value,
@@ -448,7 +448,5 @@ class ClassBreakdown:
 
 def class_breakdown(classified: list[ClassifiedConnection]) -> ClassBreakdown:
     """Count connections per class (the data behind Table 2)."""
-    counts: dict[ConnClass, int] = {}
-    for item in classified:
-        counts[item.conn_class] = counts.get(item.conn_class, 0) + 1
-    return ClassBreakdown(counts=counts)
+    tally = Counter(item.conn_class for item in classified)
+    return ClassBreakdown.from_counts(*(tally[conn_class] for conn_class in ConnClass))

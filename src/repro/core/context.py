@@ -241,9 +241,9 @@ class ContextStudy:
         """Figure 2 (bottom)."""
         return contribution_analysis(self.classified)
 
-    def significance_quadrant(self, abs_threshold: float = 0.020, rel_threshold: float = 1.0) -> SignificanceQuadrant:
-        """§6: the significance quadrant."""
-        return significance_quadrant(self.classified, abs_threshold, rel_threshold)
+    def significance_quadrant(self) -> SignificanceQuadrant:
+        """§6: the significance quadrant at the paper's 20 ms / 1% criteria."""
+        return significance_quadrant(self.classified)
 
     def pipeline_result(self) -> PipelineResult:
         """§4–§6 in one :class:`~repro.core.streaming.PipelineResult`.

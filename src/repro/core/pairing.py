@@ -479,19 +479,27 @@ def ambiguity_fraction(paired: list[PairedConnection]) -> float:
     return PairingCensus.from_paired(paired).ambiguity_fraction
 
 
-def unused_lookup_fraction(dns_records: list[DnsRecord], paired: list[PairedConnection]) -> float:
-    """Fraction of DNS transactions never paired with any connection (§5.2).
+def unused_lookup_counts(
+    dns_records: list[DnsRecord], paired: list[PairedConnection]
+) -> tuple[int, int]:
+    """``(unused, answered)``: the answered DNS transactions never paired
+    with any connection, and all answered ones (§5.2).
 
-    Failed transactions are excluded from both numerator and denominator:
-    they *cannot* pair by construction, so counting them would inflate
-    the unused-lookup statistic with a population the paper's §5.2
-    question (answers fetched but never used) is not about. A lookup is
-    the record object the pairer was given, not its Zeek ``uid``, which
-    every transaction on one flow shares.
+    Failed transactions are in neither count: they *cannot* pair by
+    construction, so counting them would inflate the unused-lookup
+    statistic with a population the paper's §5.2 question (answers
+    fetched but never used) is not about. A lookup is the record object
+    the pairer was given, not its Zeek ``uid``, which every transaction
+    on one flow shares.
     """
     answered = [record for record in dns_records if not record.failed]
-    if not answered:
-        return 0.0
     used = {id(p.dns) for p in paired if p.dns is not None}
     unused = sum(1 for record in answered if id(record) not in used)
-    return unused / len(answered)
+    return unused, len(answered)
+
+
+def unused_lookup_fraction(dns_records: list[DnsRecord], paired: list[PairedConnection]) -> float:
+    """Share of answered DNS transactions never paired with any
+    connection (§5.2; see :func:`unused_lookup_counts`)."""
+    unused, answered = unused_lookup_counts(dns_records, paired)
+    return unused / answered if answered else 0.0

@@ -46,8 +46,6 @@ from repro.core.checkpoint import (
 )
 from repro.core.context import StudyOptions
 from repro.core.streaming import (
-    DEFAULT_DRAIN_INTERVAL_S,
-    DEFAULT_SKETCH_EPSILON,
     PipelineResult,
     StreamingConfig,
     StreamingState,
@@ -406,7 +404,6 @@ def run_streaming_pipeline(
     options: StudyOptions | None = None,
     workers: int = 1,
     window_s: float | None = None,
-    drain_interval_s: float = DEFAULT_DRAIN_INTERVAL_S,
     checkpoint: CheckpointConfig | None = None,
     resume: bool = False,
     checkpoint_telemetry: CheckpointTelemetry | None = None,
@@ -426,7 +423,6 @@ def run_streaming_pipeline(
         options=options if options is not None else StudyOptions(),
         exact=True,
         window_s=window_s,
-        drain_interval_s=drain_interval_s,
     )
     state = _run_streaming(
         dns_records, conns, config, workers, checkpoint, resume, checkpoint_telemetry
@@ -440,8 +436,6 @@ def run_streaming_summary(
     options: StudyOptions | None = None,
     workers: int = 1,
     window_s: float | None = None,
-    epsilon: float = DEFAULT_SKETCH_EPSILON,
-    drain_interval_s: float = DEFAULT_DRAIN_INTERVAL_S,
     checkpoint: CheckpointConfig | None = None,
     resume: bool = False,
     checkpoint_telemetry: CheckpointTelemetry | None = None,
@@ -449,7 +443,8 @@ def run_streaming_summary(
     """One-pass the logs with sketched statistics; return the summary.
 
     The O(window)-memory mode: distribution shapes live in mergeable
-    quantile sketches with an *epsilon* rank-error budget, and every
+    quantile sketches with a certified rank-error budget
+    (:data:`~repro.core.streaming.DEFAULT_SKETCH_EPSILON`), and every
     count (census, class breakdown up to the running-threshold SC/R
     split, quadrant, unused lookups) stays exact. See
     :class:`repro.core.streaming.StreamingSummary` for what is exact
@@ -458,9 +453,7 @@ def run_streaming_summary(
     config = StreamingConfig(
         options=options if options is not None else StudyOptions(),
         exact=False,
-        epsilon=epsilon,
         window_s=window_s,
-        drain_interval_s=drain_interval_s,
     )
     state = _run_streaming(
         dns_records, conns, config, workers, checkpoint, resume, checkpoint_telemetry

@@ -14,6 +14,7 @@ have their mapping on hand). This module computes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.classify import BLOCKED_CLASSES, ClassifiedConnection, ConnClass
 from repro.core.stats import Cdf, fraction_above
@@ -39,6 +40,19 @@ class LookupDelayAnalysis:
     p75: float
     over_100ms_fraction: float
 
+    @classmethod
+    def from_delays(cls, delays: Sequence[float]) -> "LookupDelayAnalysis":
+        """Figure 2 (top) from the lookup durations of the blocked connections."""
+        if not delays:
+            raise AnalysisError("no blocked connections: cannot analyse lookup delays")
+        cdf = Cdf.from_values(delays)
+        return cls(
+            cdf=cdf,
+            median=cdf.percentile(50),
+            p75=cdf.percentile(75),
+            over_100ms_fraction=fraction_above(delays, 0.100),
+        )
+
     def series(self, points: int = 200) -> list[tuple[float, float]]:
         """(delay seconds, cumulative probability) pairs for plotting."""
         return self.cdf.series(points)
@@ -47,38 +61,32 @@ class LookupDelayAnalysis:
 def lookup_delay_analysis(classified: list[ClassifiedConnection]) -> LookupDelayAnalysis:
     """Distribution of DNS lookup delays for SC∪R connections."""
     delays = [item.lookup_duration for item in _blocked(classified)]
-    values = [delay for delay in delays if delay is not None]
-    if not values:
-        raise AnalysisError("no blocked connections: cannot analyse lookup delays")
-    cdf = Cdf.from_values(values)
-    return LookupDelayAnalysis(
-        cdf=cdf,
-        median=cdf.percentile(50),
-        p75=cdf.percentile(75),
-        over_100ms_fraction=fraction_above(values, 0.100),
-    )
+    return LookupDelayAnalysis.from_delays([delay for delay in delays if delay is not None])
+
+
+def dns_share_percent(lookup_s: float, transfer_s: float) -> float:
+    """DNS' share ``100·D/(D+A)`` of a transaction's time, in percent.
+
+    Total time ``T`` is lookup duration ``D`` plus transfer duration
+    ``A`` (§6). Degenerate totals: a zero-duration lookup contributes 0%
+    no matter how short the transfer (0/0 is a free lookup, not "DNS is
+    100% of the transaction"); conversely a positive lookup ahead of a
+    zero-length transfer is the whole transaction, 100%. Both follow
+    from the formula with the convention 0/0 = 0.
+    """
+    if lookup_s <= 0:
+        return 0.0
+    return 100.0 * lookup_s / (lookup_s + transfer_s)
 
 
 def contribution_percent(item: ClassifiedConnection) -> float | None:
-    """DNS' share of the total transaction time, in percent.
-
-    Total time ``T`` is lookup duration ``D`` plus transfer duration
-    ``A`` (§6). Returns None for unblocked connections.
-
-    Degenerate totals: a zero-duration lookup contributes 0% no matter
-    how short the transfer (0/0 is a free lookup, not "DNS is 100% of
-    the transaction"); conversely a positive lookup ahead of a
-    zero-length transfer is the whole transaction, 100%. Both follow
-    from attributing ``100·D/(D+A)`` with the convention 0/0 = 0.
-    """
+    """DNS' share of the total transaction time, in percent
+    (:func:`dns_share_percent`). Returns None for unblocked connections."""
     if item.conn_class not in BLOCKED_CLASSES:
         return None
     duration = item.lookup_duration
     assert duration is not None
-    if duration <= 0:
-        return 0.0
-    total = duration + item.conn.duration
-    return 100.0 * duration / total
+    return dns_share_percent(duration, item.conn.duration)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,6 +99,26 @@ class ContributionAnalysis:
     over_1pct_all: float
     over_10pct_all: float
     over_1pct_r: float
+
+    @classmethod
+    def from_samples(
+        cls,
+        values_all: Sequence[float],
+        values_sc: Sequence[float],
+        values_r: Sequence[float],
+    ) -> "ContributionAnalysis":
+        """Figure 2 (bottom) from the contributions of all blocked
+        connections and of their SC and R subsets."""
+        if not values_all:
+            raise AnalysisError("no blocked connections: cannot analyse contribution")
+        return cls(
+            all_cdf=Cdf.from_values(values_all),
+            sc_cdf=Cdf.from_values(values_sc) if values_sc else None,
+            r_cdf=Cdf.from_values(values_r) if values_r else None,
+            over_1pct_all=fraction_above(values_all, REL_INSIGNIFICANT),
+            over_10pct_all=fraction_above(values_all, 10.0),
+            over_1pct_r=fraction_above(values_r, REL_INSIGNIFICANT) if values_r else 0.0,
+        )
 
     def series(self, which: str = "all", points: int = 200) -> list[tuple[float, float]]:
         """CDF series for 'all', 'sc' or 'r'."""
@@ -113,16 +141,7 @@ def contribution_analysis(classified: list[ClassifiedConnection]) -> Contributio
             values_sc.append(value)
         else:
             values_r.append(value)
-    if not values_all:
-        raise AnalysisError("no blocked connections: cannot analyse contribution")
-    return ContributionAnalysis(
-        all_cdf=Cdf.from_values(values_all),
-        sc_cdf=Cdf.from_values(values_sc) if values_sc else None,
-        r_cdf=Cdf.from_values(values_r) if values_r else None,
-        over_1pct_all=fraction_above(values_all, REL_INSIGNIFICANT),
-        over_10pct_all=fraction_above(values_all, 10.0),
-        over_1pct_r=fraction_above(values_r, REL_INSIGNIFICANT) if values_r else 0.0,
-    )
+    return ContributionAnalysis.from_samples(values_all, values_sc, values_r)
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,7 +151,7 @@ class SignificanceQuadrant:
     Fractions are of SC∪R connections; ``significant_of_all`` rescales
     the both-criteria cell to the full connection population (the
     paper's 3.6%). The ``*_count`` integers are the raw cell counts the
-    fractions derive from (:func:`quadrant_from_cells`).
+    fractions derive from (:meth:`from_cells`).
     """
 
     insignificant_both: float
@@ -146,6 +165,30 @@ class SignificanceQuadrant:
     relative_only_count: int = 0
     absolute_only_count: int = 0
     significant_both_count: int = 0
+
+    @classmethod
+    def from_cells(
+        cls, cells: tuple[int, int, int, int], blocked_conns: int, total_conns: int
+    ) -> "SignificanceQuadrant":
+        """The quadrant from its cell counts ``(insignificant_both,
+        relative_only, absolute_only, significant_both)`` and the
+        blocked and total connection counts."""
+        if not blocked_conns:
+            raise AnalysisError("no blocked connections: cannot compute quadrant")
+        ii, rel, abs_, sig = cells
+        return cls(
+            insignificant_both=ii / blocked_conns,
+            relative_only=rel / blocked_conns,
+            absolute_only=abs_ / blocked_conns,
+            significant_both=sig / blocked_conns,
+            significant_of_all=sig / total_conns,
+            blocked_conns=blocked_conns,
+            total_conns=total_conns,
+            insignificant_both_count=ii,
+            relative_only_count=rel,
+            absolute_only_count=abs_,
+            significant_both_count=sig,
+        )
 
     def as_rows(self) -> list[tuple[str, float]]:
         """(quadrant label, fraction of paired connections) table rows."""
@@ -164,9 +207,7 @@ def significance_quadrant(
 ) -> SignificanceQuadrant:
     """Compute the §6 significance quadrant."""
     blocked = _blocked(classified)
-    if not blocked:
-        raise AnalysisError("no blocked connections: cannot compute quadrant")
-    cells = {"ii": 0, "rel": 0, "abs": 0, "sig": 0}
+    ii = rel = abs_ = sig = 0
     for item in blocked:
         duration = item.lookup_duration
         contribution = contribution_percent(item)
@@ -174,34 +215,13 @@ def significance_quadrant(
         absolute_bad = duration > abs_threshold
         relative_bad = contribution > rel_threshold
         if absolute_bad and relative_bad:
-            cells["sig"] += 1
+            sig += 1
         elif absolute_bad:
-            cells["abs"] += 1
+            abs_ += 1
         elif relative_bad:
-            cells["rel"] += 1
+            rel += 1
         else:
-            cells["ii"] += 1
-    return quadrant_from_cells(cells, len(blocked), len(classified))
-
-
-def quadrant_from_cells(
-    cells: dict[str, int], blocked_conns: int, total_conns: int
-) -> SignificanceQuadrant:
-    """Build a quadrant from raw ``ii``/``rel``/``abs``/``sig`` cell
-    counts and the blocked/total population sizes.
-
-    Shared by :func:`significance_quadrant` and the streaming engine —
-    both count cells their own way and converge here."""
-    return SignificanceQuadrant(
-        insignificant_both=cells["ii"] / blocked_conns,
-        relative_only=cells["rel"] / blocked_conns,
-        absolute_only=cells["abs"] / blocked_conns,
-        significant_both=cells["sig"] / blocked_conns,
-        significant_of_all=cells["sig"] / total_conns,
-        blocked_conns=blocked_conns,
-        total_conns=total_conns,
-        insignificant_both_count=cells["ii"],
-        relative_only_count=cells["rel"],
-        absolute_only_count=cells["abs"],
-        significant_both_count=cells["sig"],
+            ii += 1
+    return SignificanceQuadrant.from_cells(
+        (ii, rel, abs_, sig), len(blocked), len(classified)
     )

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.core.classify import ClassifiedConnection, ConnClass
-from repro.core.pairing import PairedConnection, unused_lookup_fraction
+from repro.core.pairing import PairedConnection, unused_lookup_counts
 from repro.core.stats import percentile
 from repro.errors import AnalysisError
 from repro.monitor.records import DnsRecord
@@ -136,24 +136,22 @@ def prefetch_stats(
     """Compute the §5.2 prefetching economics."""
     if not dns_records:
         raise AnalysisError("no DNS records: cannot compute prefetch statistics")
-    unused = unused_lookup_fraction(dns_records, paired)
+    # Failed transactions delivered nothing to use, so they are neither
+    # unused nor speculative candidates (see ``unused_lookup_counts``).
+    unused, answered = unused_lookup_counts(dns_records, paired)
     # If every unused lookup were speculative, the used share of
     # speculative lookups is used-P-lookups / (used-P-lookups + unused).
     p_items = [item for item in classified if item.conn_class == ConnClass.PREFETCHED]
     lc_items = [item for item in classified if item.conn_class == ConnClass.LOCAL_CACHE]
-    # A lookup is its record object (see ``unused_lookup_fraction``).
+    # A lookup is its record object (see ``unused_lookup_counts``).
     p_lookups = {id(item.dns) for item in p_items if item.dns is not None}
-    # ``unused`` is a fraction of *answered* lookups; failed transactions
-    # delivered nothing to use, so they are not speculative candidates.
-    answered = sum(1 for record in dns_records if not record.failed)
-    unused_count = round(unused * answered)
-    speculative = len(p_lookups) + unused_count
+    speculative = len(p_lookups) + unused
     used_fraction = len(p_lookups) / speculative if speculative else 0.0
     p_lags = [item.gap for item in p_items if item.gap is not None]
     lc_lags = [item.gap for item in lc_items if item.gap is not None]
     return PrefetchStats(
         total_lookups=len(dns_records),
-        unused_lookup_fraction=unused,
+        unused_lookup_fraction=unused / answered if answered else 0.0,
         prefetch_used_fraction=used_fraction,
         p_conn_fraction=len(p_items) / len(classified) if classified else 0.0,
         median_reuse_lag_p=percentile(p_lags, 50) if p_lags else 0.0,

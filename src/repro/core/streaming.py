@@ -28,9 +28,11 @@ connection, one per paired connection) that the paper's full-sample
 CDFs and knee detection need, and :func:`finalize_result` reproduces
 the per-connection reference
 (:meth:`~repro.core.context.ContextStudy.pipeline_result`)
-*byte-identically*: every aggregate is either an online counter, an
-order-invariant statistic over the buffered sample, or derived from the
-final merged thresholds exactly as the reference classifier derives them.
+*byte-identically*: it hands its counters and buffered samples to the
+same result constructors the reference calls (``GapAnalysis.from_sample``,
+``LookupDelayAnalysis.from_delays`` and so on), after splitting the
+blocked sample at the final merged thresholds exactly as the reference
+classifier splits it.
 Record objects are still dropped as the window advances, so memory
 falls from O(trace records) to O(window records + trace floats). With
 ``exact=False`` the sample buffers are replaced by quantile sketches
@@ -66,14 +68,9 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.core.blocking import (
-    KNEE_REFERENCE,
-    GapAnalysis,
-    find_gap_knee,
-)
+from repro.core.blocking import KNEE_REFERENCE, GapAnalysis
 from repro.core.classify import (
     ClassBreakdown,
-    ConnClass,
     ResolverFailureStats,
     ResolverObserver,
     thresholds_from_stats,
@@ -86,17 +83,19 @@ from repro.core.performance import (
     ContributionAnalysis,
     LookupDelayAnalysis,
     SignificanceQuadrant,
-    quadrant_from_cells,
+    dns_share_percent,
 )
-from repro.core.stats import Cdf, QuantileSketch, fraction_above
+from repro.core.stats import QuantileSketch
 from repro.errors import AnalysisError
 from repro.monitor.records import ConnRecord, DnsRecord
 
 DEFAULT_DRAIN_INTERVAL_S = 60.0
-"""How often (stream seconds) TTL-expired index state is evicted."""
+"""How often (stream seconds) TTL-expired index state is evicted.
+
+A pure performance knob: results are drain-schedule invariant."""
 
 DEFAULT_SKETCH_EPSILON = 0.01
-"""Default certified rank-error budget of the quantile sketches."""
+"""Certified rank-error budget of the sketch-mode quantile sketches."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,24 +105,16 @@ class StreamingConfig:
     ``exact`` selects full-sample buffers (reference parity) versus
     quantile sketches (O(window) memory); ``window_s`` bounds how long
     expired-fallback tails are retained (None keeps them for the
-    stream's lifetime); ``drain_interval_s`` sets the eviction cadence
-    (a pure performance knob — results are drain-schedule invariant).
-    The blocking threshold is the classifier's
+    stream's lifetime). The blocking threshold is the classifier's
     (``options.classifier.blocking_threshold``), so a connection is
     blocked here exactly when the per-connection classifier says so.
     """
 
     options: StudyOptions = field(default_factory=StudyOptions)
     exact: bool = True
-    epsilon: float = DEFAULT_SKETCH_EPSILON
     window_s: float | None = None
-    drain_interval_s: float = DEFAULT_DRAIN_INTERVAL_S
 
     def __post_init__(self) -> None:
-        if self.drain_interval_s <= 0:
-            raise AnalysisError(
-                f"drain interval must be positive, got {self.drain_interval_s}"
-            )
         if self.window_s is not None and self.window_s <= 0:
             raise AnalysisError(f"window must be positive, got {self.window_s}")
         blocking_threshold = self.options.classifier.blocking_threshold
@@ -441,12 +432,11 @@ class StreamingAnalyzer:
         self._blocking_threshold = options.classifier.blocking_threshold
         self.state = StreamingState(exact=self.config.exact)
         if not self.config.exact:
-            epsilon = self.config.epsilon
-            self.state.gap_sketch = QuantileSketch(epsilon)
-            self.state.delay_sketch = QuantileSketch(epsilon)
-            self.state.contribution_sketch = QuantileSketch(epsilon)
-            self.state.contribution_sc_sketch = QuantileSketch(epsilon)
-            self.state.contribution_r_sketch = QuantileSketch(epsilon)
+            self.state.gap_sketch = QuantileSketch(DEFAULT_SKETCH_EPSILON)
+            self.state.delay_sketch = QuantileSketch(DEFAULT_SKETCH_EPSILON)
+            self.state.contribution_sketch = QuantileSketch(DEFAULT_SKETCH_EPSILON)
+            self.state.contribution_sc_sketch = QuantileSketch(DEFAULT_SKETCH_EPSILON)
+            self.state.contribution_r_sketch = QuantileSketch(DEFAULT_SKETCH_EPSILON)
         self._next_drain_s = math.inf
         self._finished = False
 
@@ -461,9 +451,9 @@ class StreamingAnalyzer:
                 self.offer_conn(record)
 
     def _maybe_drain(self, now_s: float) -> None:
-        """Evict TTL-dead index state on the configured cadence."""
+        """Evict TTL-dead index state every :data:`DEFAULT_DRAIN_INTERVAL_S`."""
         if self._next_drain_s is math.inf:
-            self._next_drain_s = now_s + self.config.drain_interval_s
+            self._next_drain_s = now_s + DEFAULT_DRAIN_INTERVAL_S
             return
         if now_s < self._next_drain_s:
             return
@@ -471,7 +461,7 @@ class StreamingAnalyzer:
             self.pairer.drain_expired(now_s, window_s=self.config.window_s)
         )
         while self._next_drain_s <= now_s:
-            self._next_drain_s += self.config.drain_interval_s
+            self._next_drain_s += DEFAULT_DRAIN_INTERVAL_S
 
     def offer_dns(self, record: DnsRecord) -> None:
         """Fold one DNS transaction in (nondecreasing ``completed_at``)."""
@@ -529,7 +519,7 @@ class StreamingAnalyzer:
             return
         state.blocked_conns += 1
         rtt = result.dns.rtt
-        contribution = self._contribution_percent(rtt, conn.duration)
+        contribution = dns_share_percent(rtt, conn.duration)
         absolute_bad = rtt > ABS_INSIGNIFICANT
         relative_bad = contribution > REL_INSIGNIFICANT
         if absolute_bad and relative_bad:
@@ -569,13 +559,6 @@ class StreamingAnalyzer:
             assert state.contribution_r_sketch is not None
             state.contribution_r_sketch.offer(contribution)
 
-    @staticmethod
-    def _contribution_percent(rtt_s: float, conn_duration_s: float) -> float:
-        """``100·D/(D+A)`` with the per-connection path's 0/0 = 0 convention."""
-        if rtt_s <= 0:
-            return 0.0
-        return 100.0 * rtt_s / (rtt_s + conn_duration_s)
-
     def finish(self) -> StreamingState:
         """Close the stream: retire all remaining index state.
 
@@ -597,12 +580,13 @@ def finalize_result(
 ) -> "PipelineResult":
     """Assemble the exact §4–§6 aggregates from a finished state.
 
-    Only valid for exact-mode states: every statistic below is either a
-    plain counter, an order-invariant function of a buffered sample, or
-    derived from the final merged thresholds the way the per-connection
-    classifier derives it — which is why the result is byte-identical
-    to :meth:`repro.core.context.ContextStudy.pipeline_result` on the
-    same records.
+    Only valid for exact-mode states. The counters and buffered samples
+    go to the same result constructors the per-connection reference
+    calls, and the deferred SC/R split reads the final merged thresholds
+    the way the per-connection classifier reads them — which is why the
+    result is byte-identical to
+    :meth:`repro.core.context.ContextStudy.pipeline_result` on the same
+    records.
     """
     if not state.exact:
         raise AnalysisError("exact results need exact=True; use finalize_summary instead")
@@ -611,95 +595,43 @@ def finalize_result(
     policy = config.options.classifier.threshold_policy
     thresholds = thresholds_from_stats(state.observer.duration_stats(), policy)
     # Table 2: split the deferred blocked sample at the final thresholds.
-    delays: list[float] = []
-    contributions: list[float] = []
     contributions_sc: list[float] = []
     contributions_r: list[float] = []
-    class_sc = 0
-    class_r = 0
     for resolver, rtt, contribution in zip(
         state.blocked_resolvers, state.blocked_rtts_s, state.blocked_contributions
     ):
-        delays.append(rtt)
-        contributions.append(contribution)
         if rtt <= thresholds.get(resolver, policy.default_threshold):
-            class_sc += 1
             contributions_sc.append(contribution)
         else:
-            class_r += 1
             contributions_r.append(contribution)
-    counts: dict[ConnClass, int] = {}
-    for conn_class, count in (
-        (ConnClass.NO_DNS, state.class_n),
-        (ConnClass.LOCAL_CACHE, state.class_lc),
-        (ConnClass.PREFETCHED, state.class_p),
-        (ConnClass.SHARED_CACHE, class_sc),
-        (ConnClass.RESOLUTION, class_r),
-    ):
-        if count:
-            counts[conn_class] = count
-    if not state.gaps:
-        raise AnalysisError("no paired connections: cannot analyse gaps")
-    gap_cdf = Cdf.from_values(state.gaps)
-    knee, excluded = find_gap_knee(gap_cdf.xs)
-    gap_analysis = GapAnalysis(
-        cdf=gap_cdf,
-        knee=knee,
-        first_use_below_knee=(
-            state.first_use_below_hits / state.first_use_below_total
-            if state.first_use_below_total
-            else 0.0
-        ),
-        first_use_above_knee=(
-            state.first_use_above_hits / state.first_use_above_total
-            if state.first_use_above_total
-            else 0.0
-        ),
-        blocking_threshold=config.options.classifier.blocking_threshold,
-        knee_excluded_samples=excluded,
-        first_use_below_hits=state.first_use_below_hits,
-        first_use_below_total=state.first_use_below_total,
-        first_use_above_hits=state.first_use_above_hits,
-        first_use_above_total=state.first_use_above_total,
-    )
-    if not delays:
-        raise AnalysisError("no blocked connections: cannot analyse lookup delays")
-    delay_cdf = Cdf.from_values(delays)
-    lookup_delays = LookupDelayAnalysis(
-        cdf=delay_cdf,
-        median=delay_cdf.percentile(50),
-        p75=delay_cdf.percentile(75),
-        over_100ms_fraction=fraction_above(delays, 0.100),
-    )
-    contribution_analysis = ContributionAnalysis(
-        all_cdf=Cdf.from_values(contributions),
-        sc_cdf=Cdf.from_values(contributions_sc) if contributions_sc else None,
-        r_cdf=Cdf.from_values(contributions_r) if contributions_r else None,
-        over_1pct_all=fraction_above(contributions, REL_INSIGNIFICANT),
-        over_10pct_all=fraction_above(contributions, 10.0),
-        over_1pct_r=(
-            fraction_above(contributions_r, REL_INSIGNIFICANT)
-            if contributions_r
-            else 0.0
-        ),
-    )
-    quadrant = quadrant_from_cells(
-        {
-            "ii": state.cell_ii,
-            "rel": state.cell_rel,
-            "abs": state.cell_abs,
-            "sig": state.cell_sig,
-        },
-        state.blocked_conns,
-        state.total_conns,
-    )
     return PipelineResult(
         census=_census(state),
-        breakdown=ClassBreakdown(counts=counts),
-        gap_analysis=gap_analysis,
-        lookup_delays=lookup_delays,
-        contribution=contribution_analysis,
-        quadrant=quadrant,
+        breakdown=ClassBreakdown.from_counts(
+            state.class_n,
+            state.class_lc,
+            state.class_p,
+            len(contributions_sc),
+            len(contributions_r),
+        ),
+        gap_analysis=GapAnalysis.from_sample(
+            state.gaps,
+            (
+                state.first_use_below_hits,
+                state.first_use_below_total,
+                state.first_use_above_hits,
+                state.first_use_above_total,
+            ),
+            config.options.classifier.blocking_threshold,
+        ),
+        lookup_delays=LookupDelayAnalysis.from_delays(state.blocked_rtts_s),
+        contribution=ContributionAnalysis.from_samples(
+            state.blocked_contributions, contributions_sc, contributions_r
+        ),
+        quadrant=SignificanceQuadrant.from_cells(
+            (state.cell_ii, state.cell_rel, state.cell_abs, state.cell_sig),
+            state.blocked_conns,
+            state.total_conns,
+        ),
         thresholds=thresholds,
         failure_stats=state.observer.failure_stats(),
         peak_live_records=state.peak_live_records,
@@ -802,25 +734,10 @@ def finalize_summary(state: StreamingState, config: StreamingConfig) -> Streamin
         raise AnalysisError("summaries need exact=False; use finalize_result instead")
     if not state.total_conns:
         raise AnalysisError("the trace has no connections to analyse")
-    counts: dict[ConnClass, int] = {}
-    for conn_class, count in (
-        (ConnClass.NO_DNS, state.class_n),
-        (ConnClass.LOCAL_CACHE, state.class_lc),
-        (ConnClass.PREFETCHED, state.class_p),
-        (ConnClass.SHARED_CACHE, state.class_sc),
-        (ConnClass.RESOLUTION, state.class_r),
-    ):
-        if count:
-            counts[conn_class] = count
     quadrant = None
     if state.blocked_conns:
-        quadrant = quadrant_from_cells(
-            {
-                "ii": state.cell_ii,
-                "rel": state.cell_rel,
-                "abs": state.cell_abs,
-                "sig": state.cell_sig,
-            },
+        quadrant = SignificanceQuadrant.from_cells(
+            (state.cell_ii, state.cell_rel, state.cell_abs, state.cell_sig),
             state.blocked_conns,
             state.total_conns,
         )
@@ -832,7 +749,9 @@ def finalize_summary(state: StreamingState, config: StreamingConfig) -> Streamin
     assert state.contribution_r_sketch is not None
     return StreamingSummary(
         census=_census(state),
-        breakdown=ClassBreakdown(counts=counts),
+        breakdown=ClassBreakdown.from_counts(
+            state.class_n, state.class_lc, state.class_p, state.class_sc, state.class_r
+        ),
         quadrant=quadrant,
         thresholds=thresholds_from_stats(state.observer.duration_stats(), policy),
         failure_stats=state.observer.failure_stats(),
@@ -856,7 +775,7 @@ def finalize_summary(state: StreamingState, config: StreamingConfig) -> Streamin
         unused_lookups=state.unused_lookups,
         peak_live_records=state.peak_live_records,
         window_s=config.window_s,
-        epsilon=config.epsilon,
+        epsilon=DEFAULT_SKETCH_EPSILON,
     )
 
 

@@ -34,7 +34,8 @@ from repro.monitor.records import (
 
 @dataclass(frozen=True, slots=True)
 class QuarantinedLine:
-    """One malformed log line set aside by a lenient read."""
+    """One malformed log line set aside by a lenient read. Bytes that
+    were not UTF-8 stay in ``text`` as ``surrogateescape`` surrogates."""
 
     line_number: int
     reason: str
@@ -298,6 +299,17 @@ def _conn_from_tsv(line: str, fields: dict[str, int] | None) -> ConnRecord:
 _TSV_PARSERS = {"dns": _dns_from_tsv, "conn": _conn_from_tsv}
 
 
+def _check_utf8(line: str) -> None:
+    """Refuse a line that held bytes which are not UTF-8: text logs are
+    decoded with ``surrogateescape``, which turns each such byte into a
+    lone surrogate that UTF-8 cannot encode."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00
+        raise LogFormatError(f"invalid UTF-8 byte 0x{byte:02x}") from None
+
+
 def _json_parser(kind: str) -> Callable:
     # Imported on the first JSON line, so TSV and RBLG runs never load it.
     from repro.monitor import json_logs
@@ -316,7 +328,8 @@ def parse_lines(
     layout. The first data line decides the format of the rest: ``{``
     starts Zeek JSON, anything else is TSV laid out by the latest
     ``#fields`` header. The row parsers name no location; this loop
-    owns the line number. Without *report* a malformed line raises
+    owns the line number. A data line that held bytes which are not
+    UTF-8 is malformed too. Without *report* a malformed line raises
     :class:`LogFormatError` as ``line N: <reason>``. With a report the
     line is quarantined into it with the bare reason, every parsed
     record is counted into it, and reading goes on.
@@ -335,6 +348,8 @@ def parse_lines(
         if parse is None:
             parse = _json_parser(kind) if line.lstrip()[:1] == "{" else _TSV_PARSERS[kind]
         try:
+            if not line.isascii():
+                _check_utf8(line)
             record = parse(line, fields)
         except (ValueError, LogFormatError) as exc:
             if report is None:
@@ -387,7 +402,7 @@ def open_records(
 
 
 def _read_text(path: str, kind: str, report: IngestReport | None) -> Iterator:
-    with open(path, "r", encoding="utf-8") as stream:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as stream:
         yield from parse_lines(stream, kind, report)
 
 
@@ -449,8 +464,9 @@ def tail_lines(
     A missing file (not yet created, or mid-rotation) is waited out.
     ``idle_timeout_s`` ends the tail after that much time with no new
     data; ``stop`` is polled between reads for cooperative shutdown.
-    Decoding replaces invalid UTF-8 rather than raising, leaving
-    malformed-line policy to the record-level parser.
+    Bytes that are not UTF-8 are decoded with ``surrogateescape``, as
+    whole-file reads decode them, leaving malformed-line policy to
+    :func:`parse_lines`.
     """
     if poll_interval_s <= 0.0:
         raise ValueError(f"poll_interval_s must be positive, got {poll_interval_s}")
@@ -484,7 +500,7 @@ def tail_lines(
                 newline = buffer.find(b"\n")
                 if newline < 0:
                     break
-                yield buffer[:newline].decode("utf-8", errors="replace")
+                yield buffer[:newline].decode("utf-8", errors="surrogateescape")
                 buffer = buffer[newline + 1 :]
             continue
         # At EOF of the current stream: check for truncation, rotation,
@@ -503,13 +519,13 @@ def tail_lines(
             pass
         if rotated:
             if buffer:
-                yield buffer.decode("utf-8", errors="replace")
+                yield buffer.decode("utf-8", errors="surrogateescape")
             stream.close()
             stream = None
             continue
         if stop is not None and stop():
             if buffer:
-                yield buffer.decode("utf-8", errors="replace")
+                yield buffer.decode("utf-8", errors="surrogateescape")
             stream.close()
             return
         if (

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.classify import ClassBreakdown
+from repro.core.classify import ClassBreakdown, ResolverFailureStats
 from repro.core.improvements import RefreshComparison
+from repro.core.pairing import PairingCensus
 from repro.core.parallel import PressureStats
+from repro.core.performance import SignificanceQuadrant
 from repro.core.resolvers import ResolverUsageRow
 from repro.core.streaming import PipelineResult, StreamingSummary
 from repro.monitor.logs import IngestReport
@@ -100,6 +102,50 @@ def render_table3(comparison: RefreshComparison) -> str:
     ]
     return render_table(("", "Standard", "Refresh All"), body)
 
+
+def render_census(census: PairingCensus) -> str:
+    """The §4 pairing census block."""
+    return (
+        "Pairing census (§4):\n"
+        f"  connections: {census.conns}, paired: {census.paired} "
+        f"({100 * census.paired / census.conns:.1f}%)\n"
+        f"  <=1 viable candidate: {100 * census.ambiguity_fraction:.1f}% of paired\n"
+        f"  expired-lookup pairings: {100 * census.expired_pairing_fraction:.1f}% of paired"
+    )
+
+
+def render_quadrant(quadrant: SignificanceQuadrant) -> str:
+    """The §6 significance quadrant block."""
+    lines = ["§6 significance quadrant (share of blocked connections):"]
+    lines.extend(f"  {label}: {100 * fraction:.1f}%" for label, fraction in quadrant.as_rows())
+    lines.append(f"  significant for {100 * quadrant.significant_of_all:.1f}% of all connections")
+    return "\n".join(lines)
+
+
+def render_thresholds(thresholds: dict[str, float], title: str) -> str:
+    """The per-resolver SC/R thresholds under *title*, resolvers sorted."""
+    lines = [title]
+    lines.extend(
+        f"  {resolver}: {1000 * thresholds[resolver]:.1f} ms" for resolver in sorted(thresholds)
+    )
+    return "\n".join(lines)
+
+
+def render_failure_rates(failure_stats: dict[str, ResolverFailureStats]) -> str:
+    """The failure rates of the resolvers that saw a failure or an
+    NXDOMAIN, sorted; empty when none did."""
+    lines: list[str] = []
+    for resolver in sorted(failure_stats):
+        stats = failure_stats[resolver]
+        if stats.failures or stats.nxdomains:
+            lines.append(
+                f"  {resolver}: {stats.queries} queries, {stats.servfails} SERVFAIL, "
+                f"{stats.timeouts} timeout, {stats.refused} REFUSED, {stats.nxdomains} NXDOMAIN "
+                f"({100 * stats.failure_rate:.2f}% failed)"
+            )
+    return "\n".join(["Resolver failure rates:", *lines]) if lines else ""
+
+
 def render_pipeline_report(result: "PipelineResult") -> str:
     """Text report of one §4–§6 result.
 
@@ -111,17 +157,11 @@ def render_pipeline_report(result: "PipelineResult") -> str:
     render byte-identically regardless of which of the two (or which
     shard order) produced them.
     """
-    census = result.census
     gaps = result.gap_analysis
     delays = result.lookup_delays
     contribution = result.contribution
-    quadrant = result.quadrant
     lines = [
-        "Pairing census (§4):",
-        f"  connections: {census.conns}, paired: {census.paired} "
-        f"({100 * census.paired / census.conns:.1f}%)",
-        f"  <=1 viable candidate: {100 * census.ambiguity_fraction:.1f}% of paired",
-        f"  expired-lookup pairings: {100 * census.expired_pairing_fraction:.1f}% of paired",
+        render_census(result.census),
         "",
         "Table 2 — DNS information origin by connection:",
         render_table2(result.breakdown),
@@ -136,38 +176,13 @@ def render_pipeline_report(result: "PipelineResult") -> str:
         f"  DNS contribution >1%: {100 * contribution.over_1pct_all:.1f}%, "
         f">10%: {100 * contribution.over_10pct_all:.1f}% of blocked connections",
         "",
-        "§6 significance quadrant (share of blocked connections):",
+        render_quadrant(result.quadrant),
     ]
-    lines.extend(
-        f"  {label}: {100 * fraction:.1f}%" for label, fraction in quadrant.as_rows()
-    )
-    lines.append(
-        f"  significant for {100 * quadrant.significant_of_all:.1f}% of all connections"
-    )
     if result.thresholds:
-        lines.append("")
-        lines.append("Per-resolver SC/R thresholds:")
-        lines.extend(
-            f"  {resolver}: {1000 * result.thresholds[resolver]:.1f} ms"
-            for resolver in sorted(result.thresholds)
-        )
-    failed = {
-        resolver: stats
-        for resolver, stats in result.failure_stats.items()
-        if stats.failures or stats.nxdomains
-    }
-    if failed:
-        lines.append("")
-        lines.append("Resolver failure rates:")
-        lines.extend(
-            f"  {resolver}: {failed[resolver].queries} queries, "
-            f"{failed[resolver].servfails} SERVFAIL, "
-            f"{failed[resolver].timeouts} timeout, "
-            f"{failed[resolver].refused} REFUSED, "
-            f"{failed[resolver].nxdomains} NXDOMAIN "
-            f"({100 * failed[resolver].failure_rate:.2f}% failed)"
-            for resolver in sorted(failed)
-        )
+        lines += ["", render_thresholds(result.thresholds, "Per-resolver SC/R thresholds:")]
+    failures = render_failure_rates(result.failure_stats)
+    if failures:
+        lines += ["", failures]
     return "\n".join(lines)
 
 
@@ -182,7 +197,6 @@ def render_streaming_summary(
     :func:`render_pipeline_report`). *ingest* reports from a lenient
     streaming read are surfaced as a quarantine section, so discarded
     lines stay visible even when the record lists never materialize."""
-    census = summary.census
     lines = [
         "Streaming summary (one pass, sketched statistics):",
         f"  window: {'unbounded' if summary.window_s is None else f'{summary.window_s:.0f} s'}, "
@@ -190,11 +204,7 @@ def render_streaming_summary(
         f"  rank error <= {100 * summary.rank_error_bound:.2f}% "
         f"(budget {100 * summary.epsilon:.2f}%)",
         "",
-        "Pairing census (§4):",
-        f"  connections: {census.conns}, paired: {census.paired} "
-        f"({100 * census.paired / census.conns:.1f}%)",
-        f"  <=1 viable candidate: {100 * census.ambiguity_fraction:.1f}% of paired",
-        f"  expired-lookup pairings: {100 * census.expired_pairing_fraction:.1f}% of paired",
+        render_census(summary.census),
         f"  unused lookups (§5.2): {100 * summary.unused_lookup_fraction:.1f}% "
         f"of {summary.answered_lookups} answered",
         "",
@@ -223,23 +233,9 @@ def render_streaming_summary(
             f"of blocked connections"
         )
     if summary.quadrant is not None:
-        lines.append("")
-        lines.append("§6 significance quadrant (share of blocked connections):")
-        lines.extend(
-            f"  {label}: {100 * fraction:.1f}%"
-            for label, fraction in summary.quadrant.as_rows()
-        )
-        lines.append(
-            f"  significant for {100 * summary.quadrant.significant_of_all:.1f}% "
-            f"of all connections"
-        )
+        lines += ["", render_quadrant(summary.quadrant)]
     if summary.thresholds:
-        lines.append("")
-        lines.append("Per-resolver SC/R thresholds (final):")
-        lines.extend(
-            f"  {resolver}: {1000 * summary.thresholds[resolver]:.1f} ms"
-            for resolver in sorted(summary.thresholds)
-        )
+        lines += ["", render_thresholds(summary.thresholds, "Per-resolver SC/R thresholds (final):")]
     if ingest:
         lines.append("")
         lines.append("Lenient ingest quarantine:")

@@ -217,3 +217,61 @@ def test_unset_duration_and_byte_counts_read_as_zero(tmp_path, fmt):
         stream.write(UNSET_CONN[fmt])
     (conn,) = ContextStudy.from_logs(dns_path, conn_path).trace.conns
     assert (conn.duration, conn.orig_bytes, conn.resp_bytes) == (0.0, 0, 0)
+
+
+# -- bytes that are not UTF-8 ----------------------------------------------------
+
+BAD_LINE = 10
+
+
+def _with_bad_bytes(src: str, dst: str, drop: bool = False) -> str:
+    """Copy the log at *src* with bytes ``ff fe`` inside line BAD_LINE,
+    or with that line left out (*drop*)."""
+    with open(src, "rb") as stream:
+        lines = stream.readlines()
+    bad = lines[BAD_LINE - 1]
+    assert not bad.startswith(b"#")
+    lines[BAD_LINE - 1] = b"" if drop else bad[:20] + b"\xff\xfe" + bad[20:]
+    with open(dst, "wb") as stream:
+        stream.writelines(lines)
+    return dst
+
+
+@pytest.mark.parametrize("mode", ["batch", "streaming", "exact"])
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_strict_read_names_the_line_with_bad_bytes(logs, tmp_path, fmt, mode):
+    dns_path, conn_path = logs[fmt]
+    bad = _with_bad_bytes(conn_path, str(tmp_path / "conn.log"))
+    code, out, err = _run("analyze", *MODES[mode], "--dns", dns_path, "--conn", bad)
+    assert code == EXIT_DATA
+    assert f"error: line {BAD_LINE}: invalid UTF-8 byte 0xff" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["lenient", "exact-lenient"])
+def test_lenient_read_quarantines_the_line_with_bad_bytes(logs, tmp_path, mode):
+    dns_path, conn_path = logs["tsv"]
+    bad = _with_bad_bytes(conn_path, str(tmp_path / "bad.log"))
+    without = _with_bad_bytes(conn_path, str(tmp_path / "without.log"), drop=True)
+    code, out, err = _run("analyze", *MODES[mode], "--dns", dns_path, "--conn", bad)
+    assert code == 0, err
+    assert f"  line {BAD_LINE}: invalid UTF-8 byte 0xff" in err
+    code, expected, _ = _run("analyze", *MODES[mode], "--dns", dns_path, "--conn", without)
+    assert code == 0
+    assert out == expected
+
+
+def test_follow_refuses_or_quarantines_the_line_with_bad_bytes(logs, tmp_path):
+    dns_path, conn_path = logs["tsv"]
+    bad = _with_bad_bytes(conn_path, str(tmp_path / "bad.log"))
+    without = _with_bad_bytes(conn_path, str(tmp_path / "without.log"), drop=True)
+    follow = ("analyze", "--streaming", "--exact-stats", "--follow", "--idle-timeout-s", "0.5")
+    code, _, err = _run(*follow, "--dns", dns_path, "--conn", bad)
+    assert code == EXIT_DATA
+    assert f"error: line {BAD_LINE}: invalid UTF-8 byte 0xff" in err
+    code, out, err = _run(*follow, "--lenient", "--dns", dns_path, "--conn", bad)
+    assert code == 0, err
+    assert f"  line {BAD_LINE}: invalid UTF-8 byte 0xff" in err
+    code, expected, _ = _run(*follow, "--dns", dns_path, "--conn", without)
+    assert code == 0
+    assert out == expected

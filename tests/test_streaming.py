@@ -20,6 +20,7 @@ from repro.core.classify import ClassifierConfig
 from repro.core.context import ContextStudy, StudyOptions
 from repro.core.pairing import DnsIndex, Pairer, PairingPolicy, pair_trace
 from repro.core.parallel import run_streaming_summary
+from repro.core import streaming
 from repro.core.streaming import (
     StreamingAnalyzer,
     StreamingConfig,
@@ -88,10 +89,6 @@ class TestStreamTrace:
 
 
 class TestConfigValidation:
-    def test_rejects_nonpositive_drain_interval(self):
-        with pytest.raises(AnalysisError):
-            StreamingConfig(drain_interval_s=0.0)
-
     def test_rejects_nonpositive_window(self):
         with pytest.raises(AnalysisError):
             StreamingConfig(window_s=-1.0)
@@ -263,12 +260,16 @@ class TestIncrementalPairingRegression:
 
 
 class TestAnalyzerBehaviour:
-    def test_drain_schedule_is_result_invariant(self):
+    def test_drain_schedule_is_result_invariant(self, monkeypatch):
         trace = generate_trace(ScenarioConfig(seed=2, houses=2, duration=2 * 3600.0))
-        fast = StreamingConfig(drain_interval_s=15.0)
-        slow = StreamingConfig(drain_interval_s=3600.0)
-        fast_result = finalize_result(analyze_stream(trace.dns, trace.conns, fast), fast)
-        slow_result = finalize_result(analyze_stream(trace.dns, trace.conns, slow), slow)
+        config = StreamingConfig()
+
+        def run(drain_interval_s):
+            monkeypatch.setattr(streaming, "DEFAULT_DRAIN_INTERVAL_S", drain_interval_s)
+            return finalize_result(analyze_stream(trace.dns, trace.conns, config), config)
+
+        fast_result = run(15.0)
+        slow_result = run(3600.0)
         reference = ContextStudy(trace).pipeline_result()
         assert fast_result.census == slow_result.census == reference.census
         assert fast_result.gap_analysis == slow_result.gap_analysis == reference.gap_analysis

@@ -68,7 +68,7 @@ def _descending(records):
     return [later, first]
 
 
-def _exercise_engine() -> None:
+def _exercise_engine(monkeypatch) -> None:
     """A workload touching every engine surface, happy and unhappy."""
     trace = generate_trace(
         ScenarioConfig(
@@ -83,13 +83,16 @@ def _exercise_engine() -> None:
         )
     )
 
-    # Exact pass, windowed, then finalize the full result.
-    exact = StreamingConfig(window_s=900.0, drain_interval_s=120.0)
-    state = analyze_stream(trace.dns, trace.conns, exact)
+    # Exact pass, windowed and drained every two stream minutes, then
+    # finalize the full result.
+    exact = StreamingConfig(window_s=900.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(streaming_module, "DEFAULT_DRAIN_INTERVAL_S", 120.0)
+        state = analyze_stream(trace.dns, trace.conns, exact)
     finalize_result(state, exact)
 
     # Sketch pass + summary finalize, plus a two-way merge of both.
-    sketch = StreamingConfig(exact=False, epsilon=0.02)
+    sketch = StreamingConfig(exact=False)
     houses = sorted({record.orig_h for record in trace.conns})
     parts = []
     for house in houses:
@@ -138,7 +141,6 @@ def _exercise_engine() -> None:
 
     # Unhappy paths: validation, mode mismatches, degenerate streams.
     for bad in (
-        lambda: StreamingConfig(drain_interval_s=0.0),
         lambda: StreamingConfig(window_s=-5.0),
         lambda: StreamingConfig(
             options=StudyOptions(classifier=ClassifierConfig(blocking_threshold=-1.0))
@@ -160,7 +162,7 @@ def _exercise_engine() -> None:
 
 
 @pytest.mark.slow
-def test_streaming_module_line_coverage_floor():
+def test_streaming_module_line_coverage_floor(monkeypatch):
     path = streaming_module.__file__
     executable = _function_lines(path)
     assert executable, "no function lines found in streaming module"
@@ -179,7 +181,7 @@ def test_streaming_module_line_coverage_floor():
     old = sys.gettrace()
     sys.settrace(tracer)
     try:
-        _exercise_engine()
+        _exercise_engine(monkeypatch)
     finally:
         sys.settrace(old)
 
