@@ -69,7 +69,11 @@ from repro.monitor.logs import (  # noqa: E402
     save_dns_log,
 )
 from repro.report.tables import render_pipeline_report  # noqa: E402
-from repro.workload.generate import generate_trace, generate_trace_with_pressure  # noqa: E402
+from repro.workload.generate import (  # noqa: E402
+    collector_paused,
+    generate_trace,
+    generate_trace_with_pressure,
+)
 from repro.workload.scenario import PressureConfig, ScenarioConfig  # noqa: E402
 
 #: Committed pre-sharding generation wall time for the default
@@ -473,13 +477,19 @@ def _time_checkpoint(trace) -> dict:
 
 
 def _time_pipeline(trace, workers: int, repeats: int):
-    """Best-of-*repeats* wall time plus the (deterministic) result."""
+    """Best-of-*repeats* wall time plus the (deterministic) result.
+
+    Both legs run with the cyclic collector off, as ``repro-dns`` jobs
+    and fork workers do: a serial leg timed with it on would credit the
+    parallel leg with the collector's cost.
+    """
     best = float("inf")
     result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = run_pipeline(trace, workers=workers)
-        best = min(best, time.perf_counter() - start)
+    with collector_paused():
+        for _ in range(repeats):
+            start = time.perf_counter()
+            result = run_pipeline(trace, workers=workers)
+            best = min(best, time.perf_counter() - start)
     return best, result
 
 
@@ -519,8 +529,19 @@ def main() -> int:
     print(f"{args.workers} workers:   {parallel_s:.3f}s (best of {args.repeats})")
 
     identical = serial == parallel
-    speedup = serial_s / parallel_s if parallel_s else float("inf")
-    print(f"identical outputs: {identical}; speedup: {speedup:.2f}x")
+    workers_effective = effective_worker_count(args.workers)
+    speedup = speedup_skipped = None
+    if workers_effective < 2:
+        # One effective worker makes the parallel leg the serial leg plus
+        # fork overhead: its ratio is no speedup, so record none and why.
+        speedup_skipped = (
+            f"worker clamp: {args.workers} requested, "
+            f"{workers_effective} effective on this host"
+        )
+        print(f"identical outputs: {identical}; no speedup ({speedup_skipped})")
+    else:
+        speedup = serial_s / parallel_s if parallel_s else float("inf")
+        print(f"identical outputs: {identical}; speedup: {speedup:.2f}x")
 
     sweep = None
     if args.sweep_seeds > 0:
@@ -631,9 +652,10 @@ def main() -> int:
         "serial_wall_s": round(serial_s, 3),
         "parallel_wall_s": round(parallel_s, 3),
         "workers": args.workers,
-        "workers_effective": effective_worker_count(args.workers),
+        "workers_effective": workers_effective,
         "repeats": args.repeats,
-        "speedup": round(speedup, 3),
+        "speedup": round(speedup, 3) if speedup is not None else None,
+        "speedup_skipped": speedup_skipped,
         "outputs_identical": identical,
         "streaming": streaming,
         "checkpoint": checkpoint,

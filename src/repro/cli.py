@@ -38,7 +38,7 @@ from repro.core.checkpoint import (
     discard_checkpoint,
 )
 from repro.core.context import ContextStudy
-from repro.core.parallel import run_streaming_pipeline, run_streaming_summary
+from repro.core.parallel import PressureStats, run_streaming_pipeline, run_streaming_summary
 from repro.core.streaming import reorder_records
 from repro.errors import (
     AnalysisError,
@@ -53,6 +53,7 @@ from repro.errors import (
 )
 from repro.dns.cache import EVICTION_POLICIES
 from repro.monitor.binlog import DNS_KIND, save_conn_binlog, save_dns_binlog, sniff_binlog
+from repro.monitor.capture import Trace
 from repro.monitor.logs import IngestReport, open_records, save_conn_log, save_dns_log
 from repro.report.tables import (
     render_failure_rates,
@@ -64,7 +65,7 @@ from repro.report.tables import (
     render_table3,
 )
 from repro.simulation.faults import FaultConfig
-from repro.workload.generate import collector_paused, generate_trace, generate_trace_with_pressure
+from repro.workload.generate import collector_paused, generate_trace_with_pressure
 from repro.workload.scenario import PressureConfig, ScenarioConfig
 
 # sysexits.h-style codes: data errors, usage errors, missing inputs,
@@ -110,21 +111,28 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     )
 
 
-def _add_generation_sharding_arguments(parser: argparse.ArgumentParser) -> None:
+def _positive_int(text: str) -> int:
+    """argparse type of a worker or shard count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _add_generation_sharding_arguments(
+    parser: argparse.ArgumentParser, workers_help: str
+) -> None:
     parser.add_argument(
         "--shards",
-        type=int,
+        type=_positive_int,
         default=None,
         help="generation house shards (default: auto from --workers); the "
         "trace is byte-identical for every shard count",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="generation worker processes; shards fan out over a fork pool "
-        "and merge byte-identically (default 1)",
-    )
+    parser.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
 
 
 def _add_streaming_arguments(parser: argparse.ArgumentParser) -> None:
@@ -347,16 +355,25 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _generate_scenario(args: argparse.Namespace) -> tuple[Trace, PressureStats | None]:
+    """The scenario's trace, and its pressure tally when pressure is enabled."""
+    config = _scenario_from_args(args)
+    trace, pressure = generate_trace_with_pressure(
+        config, shards=args.shards, workers=args.workers
+    )
+    return trace, pressure if config.pressure.enabled else None
+
+
+def _print_pressure(pressure: PressureStats | None) -> None:
+    if pressure is not None:
+        print()
+        print("Cache/connection pressure:")
+        print(render_pressure(pressure))
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
-    config = _scenario_from_args(args)
-    shards = getattr(args, "shards", None)
-    workers = getattr(args, "workers", 1)
-    pressure = None
-    if config.pressure.enabled:
-        trace, pressure = generate_trace_with_pressure(config, shards=shards, workers=workers)
-    else:
-        trace = generate_trace(config, shards=shards, workers=workers)
+    trace, pressure = _generate_scenario(args)
     if args.format == "bin":
         dns_path = os.path.join(args.out, "dns.rblg")
         conn_path = os.path.join(args.out, "conn.rblg")
@@ -376,10 +393,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             save_dns_log(dns_path, trace.dns)
             save_conn_log(conn_path, trace.conns)
     print(trace.summary())
-    if pressure is not None:
-        print()
-        print("Cache/connection pressure:")
-        print(render_pressure(pressure))
+    _print_pressure(pressure)
     print(f"wrote {dns_path} ({len(trace.dns)} records)")
     print(f"wrote {conn_path} ({len(trace.conns)} records)")
     return 0
@@ -470,23 +484,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     if (args.checkpoint or args.resume) and not args.streaming:
         print("report --checkpoint/--resume requires --streaming", file=sys.stderr)
         return 2
-    config = _scenario_from_args(args)
-    pressure = None
-    shards = getattr(args, "shards", None)
-    if config.pressure.enabled:
-        trace, pressure = generate_trace_with_pressure(
-            config, shards=shards, workers=args.workers
-        )
-    else:
-        trace = generate_trace(config, shards=shards, workers=args.workers)
+    trace, pressure = _generate_scenario(args)
     if args.streaming:
         _run_streaming_report(args, trace.dns, trace.conns)
     else:
         _print_report(ContextStudy(trace))
-    if pressure is not None:
-        print()
-        print("Cache/connection pressure:")
-        print(render_pressure(pressure))
+    _print_pressure(pressure)
     return 0
 
 
@@ -572,7 +575,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="log format: Zeek TSV (default), JSON-streaming, or the RBLG "
         "binary columnar format (writes dns.rblg/conn.rblg)",
     )
-    _add_generation_sharding_arguments(generate)
+    _add_generation_sharding_arguments(
+        generate,
+        "generation worker processes; shards fan out over a fork pool "
+        "and merge byte-identically (default 1)",
+    )
     generate.set_defaults(func=cmd_generate)
 
     analyze = subparsers.add_parser("analyze", help="analyse logs or a pcap")
@@ -607,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="with --streaming: analysis worker processes; >1 shards the "
         "logs by household and merges byte-identical results (default 1; "
@@ -618,18 +625,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = subparsers.add_parser("report", help="generate and analyse in one step")
     _add_scenario_arguments(report)
-    report.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="generation house shards (default: auto from --workers); the "
-        "trace is byte-identical for every shard count",
-    )
-    report.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="generation worker processes (house shards fan out over fork "
+    _add_generation_sharding_arguments(
+        report,
+        "generation worker processes (house shards fan out over fork "
         "workers); with --streaming, also the analysis workers; the batch "
         "analysis runs in one process (default 1)",
     )

@@ -79,7 +79,7 @@ RFC8767_DEFAULT_STALE_TTL_S = 86400.0
 #: long-lived driver crossing many scenario universes cannot grow it
 #: without bound (it memoizes a pure function; a reset only re-parses).
 _KEY_CACHE_MAX = 65536
-_KEY_CACHE: dict[tuple[str, int], CacheKey] = {}
+_KEY_CACHE: dict[tuple[str, int], CacheKey] = {}  # repro-lint: fork-shared(memo of a pure parse: a fork worker fills only its copy-on-write copy, and every copy maps a key to an equal CacheKey)
 
 
 def cache_key(qname: DomainName | str, qtype: RRType | int = RRType.A) -> CacheKey:

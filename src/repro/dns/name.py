@@ -211,6 +211,6 @@ class DomainName:
 #: ``_INTERNED_MAX`` entries. Interning memoizes a pure constructor, so
 #: a reset only costs re-parses — it can never change behaviour.
 _INTERNED_MAX = 65536
-_INTERNED: dict[str, DomainName] = {}
+_INTERNED: dict[str, DomainName] = {}  # repro-lint: fork-shared(memo of a pure constructor: a fork worker fills only its copy-on-write copy, and every copy maps a name to an equal DomainName)
 
 ROOT = DomainName(".")

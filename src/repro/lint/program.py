@@ -610,6 +610,11 @@ class ProgramModel:
         def root_from(expr: ast.expr) -> None:
             target = self.resolve_callable_ref(expr, module, class_name)
             if target is None:
+                # A bound method of a receiver the model cannot type
+                # (``generator.run_shard``): call resolution's name-matched
+                # fallback.
+                if isinstance(expr, ast.Attribute) and expr.attr not in _BUILTIN_METHOD_NAMES:
+                    self.fork_roots.update(self._methods_by_name.get(expr.attr, ()))
                 return
             if target in self.functions:
                 self.fork_roots.add(target)

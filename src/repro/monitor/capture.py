@@ -136,10 +136,16 @@ class MonitorCapture:
     kind letter and the fixed-width counter). Per-house captures pass
     the zero-padded house index so uids stay globally unique across
     independently simulated houses and sort in house-then-capture order.
+
+    ``warmup_s`` shifts every ``ts`` so the measurement window starts at
+    zero. Warm-up DNS transactions are kept (negative ``ts``), as the
+    paper's week-long capture pairs early connections with the lookups
+    before it; a warm-up connection takes its uid but is not stored.
     """
 
-    def __init__(self, uid_namespace: str = "") -> None:
+    def __init__(self, uid_namespace: str = "", warmup_s: float = 0.0) -> None:
         self.trace = Trace()
+        self._warmup_s = warmup_s
         # Plain counters (formatted on use) rather than generator uid
         # streams: next()-ing a generator is measurable at week scale.
         self._dns_uid_count = 0
@@ -166,7 +172,7 @@ class MonitorCapture:
         # Positional construction (field order per records.py): these two
         # record factories run once per wire event, week-scale millions.
         record = DnsRecord(
-            ts,
+            ts - self._warmup_s,
             f"{self._dns_uid_head}{self._dns_uid_count:08x}",
             orig_h,
             orig_p,
@@ -196,14 +202,17 @@ class MonitorCapture:
         service: str = "-",
         conn_state: str = "SF",
         truth: GroundTruth | None = None,
-    ) -> ConnRecord:
+    ) -> ConnRecord | None:
         """Record one connection summary; returns the record.
 
         When *truth* is given it is keyed under the freshly assigned uid.
+        A connection from the warm-up returns None.
         """
         self._conn_uid_count += 1
+        if ts < self._warmup_s:
+            return None
         record = ConnRecord(
-            ts,
+            ts - self._warmup_s,
             f"{self._conn_uid_head}{self._conn_uid_count:08x}",
             orig_h,
             orig_p,

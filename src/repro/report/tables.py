@@ -236,6 +236,9 @@ def render_streaming_summary(
         lines += ["", render_quadrant(summary.quadrant)]
     if summary.thresholds:
         lines += ["", render_thresholds(summary.thresholds, "Per-resolver SC/R thresholds (final):")]
+    failures = render_failure_rates(summary.failure_stats)
+    if failures:
+        lines += ["", failures]
     if ingest:
         lines.append("")
         lines.append("Lenient ingest quarantine:")

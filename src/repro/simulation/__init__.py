@@ -16,7 +16,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         "random": (
             "RandomStreams",
-            "bounded_lognormal",
             "derive_seed",
             "poisson_arrivals",
             "weighted_choice",

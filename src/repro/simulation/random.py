@@ -62,22 +62,6 @@ def poisson_arrivals(rng: random.Random, rate_per_second: float, start: float, e
         yield now
 
 
-def bounded_lognormal(rng: random.Random, median: float, sigma: float, cap: float | None = None) -> float:
-    """A lognormal sample parameterised by its median, optionally capped."""
-    if median <= 0:
-        raise ValueError(f"median must be positive, got {median}")
-    value = rng.lognormvariate(mu=_ln(median), sigma=sigma)
-    if cap is not None:
-        value = min(value, cap)
-    return value
-
-
-def _ln(x: float) -> float:
-    import math
-
-    return math.log(x)
-
-
 def weighted_choice(rng: random.Random, weighted_items: dict[str, float]) -> str:
     """Pick one key of *weighted_items* proportionally to its weight."""
     if not weighted_items:

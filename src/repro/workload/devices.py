@@ -449,7 +449,7 @@ class Device:
 #: process cannot grow it without bound (pure function; a reset only
 #: costs recomputed logs).
 _LN_CACHE_MAX = 4096
-_LN_CACHE: dict[float, float] = {}
+_LN_CACHE: dict[float, float] = {}  # repro-lint: fork-shared(memo of a pure log: a fork worker fills only its copy-on-write copy, and every copy maps an argument to the same value)
 
 
 def _ln(x: float) -> float:

@@ -41,8 +41,8 @@ from repro.core.parallel import (
 )
 from repro.dns.cache import DnsCache
 from repro.dns.resolver import RecursiveResolver, ResolverProfile, build_platform_profiles
+from repro.errors import WorkloadError
 from repro.monitor.capture import MonitorCapture, Trace, merge_traces
-from repro.monitor.records import ConnRecord, DnsRecord
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.faults import ConnectionBudget, FaultPlan
 from repro.simulation.random import RandomStreams, derive_seed, poisson_arrivals
@@ -105,17 +105,12 @@ class TrafficGenerator:
         self.house_plans: list[HousePlan] = plan_houses(
             config.mix, self.streams.stream("houses"), config.houses
         )
-        self._contexts: list[HouseContext] | None = None
+        self._pressure = PressureStats()
 
     @property
     def houses(self) -> list[House]:
-        """The scenario's houses (built on first access)."""
-        return [context.house for context in self._house_contexts()]
-
-    def _house_contexts(self) -> list[HouseContext]:
-        if self._contexts is None:
-            self._contexts = [self._build_house_context(plan) for plan in self.house_plans]
-        return self._contexts
+        """The scenario's houses, each built afresh from its plan."""
+        return [self._build_house_context(plan).house for plan in self.house_plans]
 
     def _build_fault_plan(self) -> FaultPlan | None:
         """The scenario's fault plan, or None when faults are disabled.
@@ -220,16 +215,18 @@ class TrafficGenerator:
         The uid namespace is the zero-padded house index, so uids stay
         globally unique across independently simulated houses and the
         canonical ``(ts, uid)`` merge order is house-then-capture order.
+        The capture applies the scenario's warm-up.
         """
         pressure = self.config.pressure
-        capture = MonitorCapture(uid_namespace=f"{plan.index:04x}")
+        capture = MonitorCapture(
+            uid_namespace=f"{plan.index:04x}", warmup_s=self.config.warmup
+        )
         resolvers = self._build_house_resolvers(plan.index)
         builder = HouseholdBuilder(
             mix=self.config.mix,
             resolvers=resolvers,
             universe=self.universe,
             capture=capture,
-            rng=random.Random(plan.seed),
             retry=self.config.faults.retry,
             stub_cache_capacity=pressure.stub_cache_capacity,
             stub_cache_policy=pressure.stub_cache_policy,
@@ -346,37 +343,27 @@ class TrafficGenerator:
 
     # -- run -------------------------------------------------------------------
 
-    def _run_house(
-        self,
-        context: HouseContext,
-        horizon: float,
-        windows: list[tuple[float, float]],
-    ) -> Trace:
-        """Simulate one house to *horizon*; returns its clipped part."""
-        config = self.config
-        engine = SimulationEngine()
-        for device in context.house.devices:
-            device.quic_fraction = config.rates.quic_fraction
-            self._attach_apps(device, engine, 0.0, horizon)
-        self._attach_flash_crowds(context.house, engine, windows)
-        engine.run(until=horizon)
-        part = context.capture.finish(duration=horizon, houses=1)
-        if config.warmup > 0:
-            part = _clip_warmup(part, config.warmup)
-        return part
+    def run(self, shards: int = 1, workers: int = 1) -> Trace:
+        """Run the scenario in *shards* house shards; return the merged trace.
 
-    def run(self) -> Trace:
-        """Run the scenario serially and return the captured trace."""
+        Round-robin partition: shard ``s`` owns houses ``s, s+S, s+2S,
+        ...``, so the house index decides the shard and membership is
+        independent of the worker count, and the canonical merge makes
+        the trace independent of the shard count. The shards fan out
+        over *workers* fork workers (:func:`run_scenarios` runs them in
+        this process at one shard or one worker). The merged pressure
+        tally is kept for :meth:`pressure_stats`.
+        """
         config = self.config
         horizon = config.warmup + config.duration
-        windows = self._flash_crowd_windows(horizon)
-        parts = [
-            self._run_house(context, horizon, windows)
-            for context in self._house_contexts()
-        ]
-        return merge_traces(
-            parts, duration_s=horizon - config.warmup, houses=config.houses
+        partitions = [list(range(shard, config.houses, shards)) for shard in range(shards)]
+        results: list[HouseShardResult] = run_scenarios(
+            partitions, self.run_shard, workers=workers
         )
+        self._pressure = merge_pressure_stats([result.pressure for result in results])
+        parts = [part for result in results for part in result.parts]
+        # Not ``config.duration``: the digest pins this float's last bit.
+        return merge_traces(parts, duration_s=horizon - config.warmup, houses=config.houses)
 
     def run_shard(self, indices: list[int]) -> HouseShardResult:
         """Simulate the houses named by *indices* (one shard's work).
@@ -395,7 +382,13 @@ class TrafficGenerator:
         pressure = PressureStats()
         for index in indices:
             context = self._build_house_context(self.house_plans[index])
-            parts.append(self._run_house(context, horizon, windows))
+            engine = SimulationEngine()
+            for device in context.house.devices:
+                device.quic_fraction = config.rates.quic_fraction
+                self._attach_apps(device, engine, 0.0, horizon)
+            self._attach_flash_crowds(context.house, engine, windows)
+            engine.run(until=horizon)
+            parts.append(context.capture.finish(duration=horizon - config.warmup, houses=1))
             pressure = pressure.merged_with(_house_pressure_stats(context))
         return HouseShardResult(parts=tuple(parts), pressure=pressure)
 
@@ -406,9 +399,7 @@ class TrafficGenerator:
         every per-house resolver view into one mergeable
         :class:`~repro.core.parallel.PressureStats` tally.
         """
-        return merge_pressure_stats(
-            [_house_pressure_stats(context) for context in self._house_contexts()]
-        )
+        return self._pressure
 
 
 def _house_pressure_stats(context: HouseContext) -> PressureStats:
@@ -448,76 +439,22 @@ def _house_pressure_stats(context: HouseContext) -> PressureStats:
     return stats
 
 
-def _clip_warmup(trace: Trace, warmup: float) -> Trace:
-    """Shift timestamps so the measurement window starts at zero.
-
-    Connections inside the warmup window are dropped; DNS transactions
-    are kept (shifted, possibly to negative timestamps) because later
-    connections may pair with pre-window lookups — exactly as the
-    paper's week-long capture pairs early connections with whatever
-    lookups preceded them.
-
-    The shifted copies are built with direct positional construction
-    rather than :func:`dataclasses.replace`: ``replace`` rebuilds a
-    field-name kwargs dict per record, which at week-scale (hundreds of
-    thousands of records) is an allocation storm worth avoiding. The
-    resulting records are field-for-field identical.
-    """
-    clipped = Trace(duration=trace.duration - warmup, houses=trace.houses)
-    clipped.dns = [
-        DnsRecord(
-            record.ts - warmup,
-            record.uid,
-            record.orig_h,
-            record.orig_p,
-            record.resp_h,
-            record.resp_p,
-            record.query,
-            record.qtype,
-            record.rcode,
-            record.rtt,
-            record.answers,
-            record.proto,
-        )
-        for record in trace.dns
-    ]
-    clipped.conns = [
-        ConnRecord(
-            record.ts - warmup,
-            record.uid,
-            record.orig_h,
-            record.orig_p,
-            record.resp_h,
-            record.resp_p,
-            record.proto,
-            record.duration,
-            record.orig_bytes,
-            record.resp_bytes,
-            record.service,
-            record.conn_state,
-        )
-        for record in trace.conns
-        if record.ts >= warmup
-    ]
-    kept_uids = {record.uid for record in clipped.conns}
-    clipped.truth = {uid: truth for uid, truth in trace.truth.items() if uid in kept_uids}
-    clipped.sort()
-    return clipped
-
-
 def _resolve_fanout(config: ScenarioConfig, shards: int | None, workers: int) -> tuple[int, int]:
     """The (shards, workers) a generation run will actually use.
 
     Workers degrade to 1 when this process is already inside a scenario
     fan-out (nested fan-outs are rejected by
     :func:`~repro.core.parallel.run_scenarios`; a serial shard loop is
-    byte-identical anyway). Automatic sharding gives each
-    effective worker :data:`GENERATION_SHARDS_PER_WORKER` shards,
-    bounded by the house count; explicit ``shards`` is honoured as-is
-    (bounded by houses) so parity tests can pin any shard count.
+    byte-identical anyway) and when there is one shard to run. Automatic
+    sharding gives each effective worker
+    :data:`GENERATION_SHARDS_PER_WORKER` shards, bounded by the house
+    count; explicit ``shards`` is honoured as-is (bounded by houses) so
+    parity tests can pin any shard count. Non-positive counts raise.
     """
     if workers < 1:
-        workers = 1
+        raise WorkloadError(f"worker count must be positive, got {workers}")
+    if shards is not None and shards < 1:
+        raise WorkloadError(f"shard count must be positive, got {shards}")
     if workers > 1 and in_scenario_fanout():
         workers = 1
     if shards is None:
@@ -525,8 +462,8 @@ def _resolve_fanout(config: ScenarioConfig, shards: int | None, workers: int) ->
         shards = 1 if effective <= 1 else min(
             config.houses, effective * GENERATION_SHARDS_PER_WORKER
         )
-    shards = max(1, min(shards, config.houses))
-    return shards, workers
+    shards = min(shards, config.houses)
+    return shards, workers if shards > 1 else 1
 
 
 def _generate(
@@ -534,23 +471,8 @@ def _generate(
 ) -> tuple[Trace, PressureStats]:
     """Generate *config*'s trace, sharded and fanned out as requested."""
     generator = TrafficGenerator(config)
-    shard_count, workers = _resolve_fanout(config, shards, workers)
-    if shard_count <= 1:
-        trace = generator.run()
-        return trace, generator.pressure_stats()
-    horizon = config.warmup + config.duration
-    # Round-robin partition: shard s owns houses s, s+S, s+2S, ... —
-    # house index decides the shard, so membership is independent of
-    # worker count, and the canonical merge is independent of shards.
-    partitions = [
-        list(range(shard, config.houses, shard_count)) for shard in range(shard_count)
-    ]
-    results: list[HouseShardResult] = run_scenarios(
-        partitions, generator.run_shard, workers=workers
-    )
-    parts = [part for result in results for part in result.parts]
-    trace = merge_traces(parts, duration_s=horizon - config.warmup, houses=config.houses)
-    return trace, merge_pressure_stats([result.pressure for result in results])
+    trace = generator.run(*_resolve_fanout(config, shards, workers))
+    return trace, generator.pressure_stats()
 
 
 @contextlib.contextmanager

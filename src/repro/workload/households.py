@@ -136,7 +136,6 @@ class HouseholdBuilder:
         resolvers: dict[str, RecursiveResolver],
         universe: NameUniverse,
         capture: MonitorCapture,
-        rng: random.Random,
         retry: RetryPolicy | None = None,
         stub_cache_capacity: int | None = None,
         stub_cache_policy: str = "lru",
@@ -151,7 +150,6 @@ class HouseholdBuilder:
         self.resolvers = resolvers
         self.universe = universe
         self.capture = capture
-        self.rng = rng
         self.retry = retry if retry is not None else RetryPolicy()
         # Stub pressure knobs arrive as plain values (not a
         # PressureConfig) to keep the households module import-free of
@@ -301,11 +299,6 @@ class HouseholdBuilder:
                 if weight > 0:
                     platforms.add(resolver.platform)
         return platforms
-
-    def build(self, count: int) -> list[House]:
-        """Sample *count* houses with quota-assigned kinds."""
-        plans = plan_houses(self.mix, self.rng, count)
-        return [self.build_house_from_plan(plan) for plan in plans]
 
 
 def _plan_kinds(mix: HouseholdMixConfig, rng: random.Random, count: int) -> list[str]:

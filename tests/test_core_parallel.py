@@ -15,7 +15,8 @@ from repro.core.parallel import (
     run_streaming_pipeline,
     shard_by_household,
 )
-from repro.errors import AnalysisError
+from repro.cli import main
+from repro.errors import AnalysisError, WorkloadError
 from repro.monitor.capture import Trace, trace_digest
 from repro.workload.generate import generate_trace
 from repro.workload.scenario import ScenarioConfig
@@ -87,6 +88,41 @@ def test_sharding_partitions_households(trace):
 def test_sharding_rejects_nonpositive_count(trace):
     with pytest.raises(AnalysisError):
         shard_by_household(trace.dns, trace.conns, 0)
+
+
+@pytest.mark.parametrize("count", [0, -2])
+@pytest.mark.parametrize("keyword", ["workers", "shards"])
+def test_generation_rejects_nonpositive_count(keyword, count):
+    config = ScenarioConfig(seed=11, houses=2, duration=60.0)
+    with pytest.raises(WorkloadError, match=f"{keyword[:-1]} count must be positive"):
+        generate_trace(config, **{keyword: count})
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("generate", "--workers"),
+        ("generate", "--shards"),
+        ("report", "--workers"),
+        ("report", "--shards"),
+        ("analyze", "--workers"),
+    ],
+)
+def test_cli_rejects_nonpositive_count(tmp_path, capsys, command, flag, count):
+    argv = {
+        "generate": ["generate", "--houses", "1", "--hours", "0.1", "--out", str(tmp_path)],
+        "report": ["report", "--houses", "1", "--hours", "0.1"],
+        "analyze": [
+            "analyze", "--streaming",
+            "--dns", str(tmp_path / "dns.log"), "--conn", str(tmp_path / "conn.log"),
+        ],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, f"{flag}={count}"])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be at least 1, got {count}" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 @pytest.mark.parametrize("workers", [2, 4])

@@ -229,7 +229,7 @@ class TestCli:
     ):
         during = []
 
-        def failing_run(self):
+        def failing_run(self, shards=1, workers=1):
             during.append(gc.isenabled())
             raise WorkloadError("simulated generation failure")
 

@@ -16,8 +16,8 @@ the digests and say so in the commit.
 The scenarios are deliberately tiny (a few houses, one simulated hour,
 a shrunken name universe) so all four run in well under a second. The
 parity tests below additionally pin the sharding contract itself: the
-digest is invariant across shard counts for default, fault, and
-pressure scenario variants.
+digest is invariant across shard counts for default, fault, pressure
+and warm-up scenario variants.
 """
 
 import pytest
@@ -152,8 +152,9 @@ def test_digest_distinguishes_seeds():
 # worker will ever run in parallel — produces the byte-identical trace.
 # The 8-house config matches the benchmark's golden scenario shape
 # (scaled down in duration so the whole grid runs in seconds); the
-# variants cover the three code paths that could plausibly diverge
-# under sharding (fault plans, pressure slicing + flash crowds).
+# variants cover the code paths that could plausibly diverge under
+# sharding (fault plans, pressure slicing + flash crowds, the capture's
+# warm-up).
 
 _PARITY_VARIANTS = (
     (
@@ -189,6 +190,10 @@ _PARITY_VARIANTS = (
                 flash_crowd_rate_per_hour=1.0,
             ),
         ),
+    ),
+    (
+        "warmup",
+        ScenarioConfig(houses=8, duration=900.0, warmup=600.0, seed=1, universe=_UNIVERSE),
     ),
 )
 

@@ -495,6 +495,29 @@ class TestSHARED001ForkSharedState:
         assert "_FANOUT" in finding.message
 
 
+    def test_method_of_a_local_receiver_is_a_fork_root(self, tmp_path):
+        # The dispatched callable is a bound method of a local whose type
+        # the model does not infer; the name-matched fallback roots it.
+        source = """
+            from repro.core.parallel import run_scenarios
+
+            _MEMO = {}
+
+            class Generator:
+                def run_shard(self, indices):
+                    for index in indices:
+                        _MEMO[index] = index * index
+                    return len(indices)
+
+            def generate(partitions, workers):
+                generator = Generator()
+                return run_scenarios(partitions, generator.run_shard, workers=workers)
+        """
+        run = lint_program(tmp_path, {"gen.py": source}, select=["SHARED001"])
+        (finding,) = run.findings
+        assert "_MEMO" in finding.message and "run_shard()" in finding.message
+
+
 class TestSHARED002UnboundedState:
     def test_unbounded_memo_detected(self, tmp_path):
         run = lint_program(tmp_path, {"memo.py": UNBOUNDED_MEMO}, select=["SHARED002"])

@@ -83,6 +83,11 @@ def test_failure_block_is_shared_and_counts_the_dns_log(faulted, reports):
     assert sum(stats[resolver].servfails for resolver in failed)
 
 
+def test_failure_block_prints_alike_in_every_mode(reports):
+    blocks = [_block(report, "Resolver failure rates:") for report in reports.values()]
+    assert len(blocks[0]) > 1 and blocks.count(blocks[0]) == len(MODES)
+
+
 def test_census_and_quadrant_blocks_are_exact_in_sketch_mode(reports):
     census = _block(reports["exact"], "Pairing census (§4):")
     sketched = _block(reports["sketch"], "Pairing census (§4):")

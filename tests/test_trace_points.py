@@ -34,6 +34,19 @@ if len(sys.argv) > 1:
 print(json.dumps({name: span.calls for name, span in spans.items()}))
 """
 
+#: Runs ``repro.cli.main`` on the arguments under the tracer and prints
+#: the call count of every span plus the benchmark's per-layer metrics.
+_TRACED_METRICS = """
+import contextlib, io, json, sys
+import tracer
+traced = tracer.install(tracer.Tracer())
+import repro.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert repro.cli.main(sys.argv[1:]) == 0
+calls = {name: span.calls for name, span in traced.spans.items()}
+print(json.dumps({"calls": calls, "metrics": tracer.layer_metrics(traced)}))
+"""
+
 
 def _traced(*argv: str) -> dict[str, int]:
     env = dict(os.environ)
@@ -78,3 +91,23 @@ def test_sketch_streaming_runs_inside_its_spans(logs):
     assert calls["streaming.finalize"] == 1
     for span in ("streaming.merge", "streaming.operators", "report.render"):
         assert calls[span] > 0, span
+
+
+@pytest.mark.parametrize("fanout", [(), ("--shards", "2")], ids=["serial", "sharded"])
+def test_generation_runs_inside_its_spans(fanout):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        (os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench"))
+    )
+    argv = ("report", "--houses", "3", "--hours", "1", "--seed", "3", *fanout)
+    result = subprocess.run(
+        [sys.executable, "-c", _TRACED_METRICS, *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    traced = json.loads(result.stdout)
+    # One simulated house per house, one merge, and the lookup tally
+    # that TrafficGenerator.run's observer reads.
+    assert traced["metrics"]["workload.houses"] == 3
+    assert traced["calls"]["workload.merge"] == 1
+    assert traced["metrics"]["dns.stub_lookups"] > 0
