@@ -12,14 +12,16 @@ JSON line it meets:
 from __future__ import annotations
 
 import json
+from operator import itemgetter
+from sys import intern
 from typing import IO, Iterable
 
 from repro.errors import LogFormatError
 from repro.monitor.records import (
     ConnRecord,
-    DnsAnswer,
     DnsRecord,
     Proto,
+    build_answers,
     check_elapsed,
     check_finite,
 )
@@ -75,86 +77,108 @@ def _load_object(line: str) -> dict:
     return payload
 
 
-def _require(payload: dict, field: str):
-    if field not in payload:
-        raise LogFormatError(f"missing field {field!r}")
-    return payload[field]
+# The JSON type of each field a record reads. An integer is not a
+# float or a boolean, and a number is not a boolean: json.loads reads
+# true as True, which int() takes for 1. Other fields are ignored, as
+# the TSV reader ignores other columns.
+_STRING = (frozenset({str}), "a string")
+_INTEGER = (frozenset({int}), "an integer")
+_NUMBER = (frozenset({int, float}), "a number")
+_STRINGS = (_STRING[0], "an array of strings")
+_NUMBERS = (_NUMBER[0], "an array of numbers")
+_ENDPOINTS = {
+    "ts": _NUMBER, "uid": _STRING, "id.orig_h": _STRING, "id.orig_p": _INTEGER,
+    "id.resp_h": _STRING, "id.resp_p": _INTEGER, "proto": _STRING,
+}
+_DNS_TYPES = {
+    **_ENDPOINTS, "query": _STRING, "qtype_name": _STRING, "rcode_name": _STRING, "rtt": _NUMBER,
+}
+_CONN_TYPES = {
+    **_ENDPOINTS, "service": _STRING, "duration": _NUMBER, "orig_bytes": _INTEGER,
+    "resp_bytes": _INTEGER, "conn_state": _STRING,
+}
+
+# The fields a record cannot go without, in the order the first missing
+# one is named.
+_DNS_REQUIRED = itemgetter("ts", "uid", "id.orig_h", "id.orig_p", "id.resp_h", "query")
+_CONN_REQUIRED = itemgetter(
+    "ts", "uid", "id.orig_h", "id.orig_p", "id.resp_h", "id.resp_p", "proto"
+)
 
 
-def _dns_from_json(line: str, fields: object = None) -> DnsRecord:
+def _check_types(payload: dict, types: dict) -> None:
+    for name, value in payload.items():
+        rule = types.get(name)
+        if rule is not None and type(value) not in rule[0]:
+            raise LogFormatError(f"field {name!r} must be {rule[1]}")
+
+
+def _array(payload: dict, name: str, rule: tuple) -> list:
+    """The array *name*, absent or null read as empty."""
+    value = payload.get(name)
+    if value is None:
+        return []
+    if type(value) is not list or not set(map(type, value)) <= rule[0]:
+        raise LogFormatError(f"field {name!r} must be {rule[1]}")
+    return value
+
+
+def _required(payload: dict, fields: itemgetter) -> tuple:
+    try:
+        return fields(payload)
+    except KeyError as exc:
+        raise LogFormatError(f"missing field {exc.args[0]!r}") from None
+
+
+def _dns_from_json(line: str) -> DnsRecord:
     """Build one :class:`DnsRecord` from a JSON line.
 
-    The per-line parser :func:`repro.monitor.logs.parse_lines` calls;
-    *fields* (the TSV column map) is unused, since an object names its
-    own fields. Like the TSV parser it names no line number.
+    The row parser :func:`repro.monitor.logs.parse_lines` calls on a
+    JSON log. Like the TSV rows it names no line number, and shares the
+    strings that repeat from row to row through :func:`sys.intern`.
     """
     payload = _load_object(line)
-    try:
-        answers_data = payload.get("answers", []) or []
-        ttls = payload.get("TTLs", []) or []
-        types = payload.get("answer_types", []) or []
-        if ttls and len(ttls) != len(answers_data):
-            raise LogFormatError(f"{len(answers_data)} answers but {len(ttls)} TTLs")
-        answers = tuple(
-            DnsAnswer(
-                data=str(data),
-                ttl=float(ttls[i]) if ttls else 0.0,
-                rtype=str(types[i]) if i < len(types) else "A",
-            )
-            for i, data in enumerate(answers_data)
-        )
-        ts = float(_require(payload, "ts"))
-        rtt = float(payload.get("rtt", 0.0))
-        check_finite("ts", ts)
-        check_elapsed("rtt", rtt)
-        for answer in answers:
-            check_finite("answer TTL", answer.ttl)
-        return DnsRecord(
-            ts=ts,
-            uid=str(_require(payload, "uid")),
-            orig_h=str(_require(payload, "id.orig_h")),
-            orig_p=int(_require(payload, "id.orig_p")),
-            resp_h=str(_require(payload, "id.resp_h")),
-            resp_p=int(payload.get("id.resp_p", 53)),
-            proto=Proto.parse(str(payload.get("proto", "udp"))),
-            query=str(_require(payload, "query")),
-            qtype=str(payload.get("qtype_name", "A")),
-            rcode=str(payload.get("rcode_name", "NOERROR")),
-            rtt=rtt,
-            answers=answers,
-        )
-    except TypeError as exc:
-        raise LogFormatError(str(exc)) from exc
+    _check_types(payload, _DNS_TYPES)
+    answers = build_answers(
+        _array(payload, "answers", _STRINGS),
+        _array(payload, "TTLs", _NUMBERS),
+        _array(payload, "answer_types", _STRINGS),
+    )
+    ts, uid, orig_h, orig_p, resp_h, query = _required(payload, _DNS_REQUIRED)
+    get = payload.get
+    ts = float(ts)
+    rtt = float(get("rtt", 0.0))
+    check_finite("ts", ts)
+    check_elapsed("rtt", rtt)
+    for answer in answers:
+        check_finite("answer TTL", answer.ttl)
+    # Positional, in field order, as the TSV rows build it.
+    return DnsRecord(
+        ts, uid, intern(orig_h), orig_p, intern(resp_h), get("id.resp_p", 53), intern(query),
+        intern(get("qtype_name", "A")), intern(get("rcode_name", "NOERROR")), rtt, answers,
+        Proto.parse(get("proto", "udp")),
+    )
 
 
-def _conn_from_json(line: str, fields: object = None) -> ConnRecord:
+def _conn_from_json(line: str) -> ConnRecord:
     """Build one :class:`ConnRecord` from a JSON line; see :func:`_dns_from_json`."""
     payload = _load_object(line)
-    try:
-        ts = float(_require(payload, "ts"))
-        duration = float(payload.get("duration", 0.0))
-        orig_bytes = int(payload.get("orig_bytes", 0))
-        resp_bytes = int(payload.get("resp_bytes", 0))
-        check_finite("ts", ts)
-        check_elapsed("duration", duration)
-        if orig_bytes < 0 or resp_bytes < 0:
-            raise LogFormatError("byte counts cannot be negative")
-        return ConnRecord(
-            ts=ts,
-            uid=str(_require(payload, "uid")),
-            orig_h=str(_require(payload, "id.orig_h")),
-            orig_p=int(_require(payload, "id.orig_p")),
-            resp_h=str(_require(payload, "id.resp_h")),
-            resp_p=int(_require(payload, "id.resp_p")),
-            proto=Proto.parse(str(_require(payload, "proto"))),
-            service=str(payload.get("service", "-")),
-            duration=duration,
-            orig_bytes=orig_bytes,
-            resp_bytes=resp_bytes,
-            conn_state=str(payload.get("conn_state", "SF")),
-        )
-    except TypeError as exc:
-        raise LogFormatError(str(exc)) from exc
+    _check_types(payload, _CONN_TYPES)
+    ts, uid, orig_h, orig_p, resp_h, resp_p, proto = _required(payload, _CONN_REQUIRED)
+    get = payload.get
+    ts = float(ts)
+    duration = float(get("duration", 0.0))
+    orig_bytes = get("orig_bytes", 0)
+    resp_bytes = get("resp_bytes", 0)
+    check_finite("ts", ts)
+    check_elapsed("duration", duration)
+    if orig_bytes < 0 or resp_bytes < 0:
+        raise LogFormatError("byte counts cannot be negative")
+    return ConnRecord(
+        ts, uid, intern(orig_h), orig_p, intern(resp_h), resp_p, Proto.parse(proto),
+        duration, orig_bytes, resp_bytes, intern(get("service", "-")),
+        intern(get("conn_state", "SF")),
+    )
 
 
 def write_dns_json(stream: IO[str], records: Iterable[DnsRecord]) -> int:

@@ -18,15 +18,17 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Iterator
+from operator import itemgetter
+from sys import intern, maxsize
+from typing import IO, Callable, Iterable, Iterator, NoReturn
 
 from repro.errors import LogFormatError
 from repro.monitor import binlog
 from repro.monitor.records import (
     ConnRecord,
-    DnsAnswer,
     DnsRecord,
     Proto,
+    build_answers,
     check_elapsed,
     check_finite,
 )
@@ -84,6 +86,8 @@ class IngestReport:
         )
 
 _UNSET = "-"
+# Zeek's #empty_field: an empty vector; the writer also spells "" so.
+_EMPTY = "(empty)"
 _SEPARATOR = "\t"
 _VECTOR_SEPARATOR = ","
 
@@ -126,7 +130,7 @@ def _format_float(value: float) -> str:
 
 def _escape(value: str) -> str:
     if value == "":
-        return "(empty)"
+        return _EMPTY
     return value.replace(_SEPARATOR, " ")
 
 
@@ -200,103 +204,102 @@ def write_conn_log(stream: IO[str], records: Iterable[ConnRecord]) -> int:
     return count
 
 
-def _field(columns: list[str], fields: dict[str, int], name: str) -> str:
-    index = fields.get(name)
-    if index is None or index >= len(columns):
-        raise LogFormatError(f"missing field {name!r}")
-    return columns[index]
+#: The columns a row parser reads, in the order in which a row that
+#: lacks some of them names the first missing one. ``answer_types`` is
+#: optional: under a header without it every answer is an A record.
+_COLUMNS = {
+    "dns": (
+        "answers", "TTLs", "answer_types", "rtt", "ts", "uid", "id.orig_h", "id.orig_p",
+        "id.resp_h", "id.resp_p", "proto", "query", "qtype_name", "rcode_name",
+    ),
+    "conn": (
+        "duration", "orig_bytes", "resp_bytes", "ts", "uid", "id.orig_h", "id.orig_p",
+        "id.resp_h", "id.resp_p", "proto", "service", "conn_state",
+    ),
+}
 
 
-def _parse_vector(text: str) -> list[str]:
-    if text == _UNSET or text == "":
+def _vector(text: str) -> list[str]:
+    if text in (_UNSET, "", _EMPTY):
         return []
     return text.split(_VECTOR_SEPARATOR)
 
 
-def _dns_from_tsv(line: str, fields: dict[str, int] | None) -> DnsRecord:
-    """Build one :class:`DnsRecord` from a TSV data line."""
-    if fields is None:
-        raise LogFormatError("data before #fields header")
-    columns = line.split(_SEPARATOR)
-    answers_text = _field(columns, fields, "answers")
-    ttls_text = _field(columns, fields, "TTLs")
-    types_text = (
-        _field(columns, fields, "answer_types") if "answer_types" in fields else _UNSET
-    )
-    answer_data = _parse_vector(answers_text)
-    ttl_data = _parse_vector(ttls_text)
-    type_data = _parse_vector(types_text)
-    if ttl_data and len(ttl_data) != len(answer_data):
-        raise LogFormatError(f"{len(answer_data)} answers but {len(ttl_data)} TTLs")
-    answers = tuple(
-        DnsAnswer(
-            data=data,
-            ttl=float(ttl_data[i]) if ttl_data else 0.0,
-            rtype=type_data[i] if i < len(type_data) else "A",
+def _before_header(line: str) -> NoReturn:
+    raise LogFormatError("data before #fields header")
+
+
+def _compile_row(kind: str, header: str) -> Callable[[str], DnsRecord | ConnRecord]:
+    """Compile a ``#fields`` *header* line into the TSV row parser for *kind*.
+
+    A row then costs one ``split``, one width check and one
+    :func:`operator.itemgetter` gather of the columns the record needs.
+    A row narrower than the widest of them, and any row under a header
+    that lacks one, names the first missing column in :data:`_COLUMNS`
+    order before any value is read. Strings that repeat from row to row
+    are shared through :func:`sys.intern`, as the RBLG decoder shares
+    them through its block dictionary; the unique uid is not.
+    """
+    fields = {name: index for index, name in enumerate(header.split(_SEPARATOR)[1:])}
+    needed = [name for name in _COLUMNS[kind] if name != "answer_types" or name in fields]
+    width = 1 + max(map(fields.get, needed)) if fields.keys() >= set(needed) else maxsize
+    # Under a header that lacks a column no row is wide enough to reach the gather.
+    gather = itemgetter(*(fields.get(name, 0) for name in needed if name != "answer_types"))
+    types_at = fields.get("answer_types")
+    parse_proto = Proto.parse
+
+    def missing(columns: list[str]) -> LogFormatError:
+        name = next(name for name in needed if fields.get(name, maxsize) >= len(columns))
+        return LogFormatError(f"missing field {name!r}")
+
+    def dns_row(line: str) -> DnsRecord:
+        columns = line.split(_SEPARATOR)
+        if len(columns) < width:
+            raise missing(columns)
+        (data, ttls, rtt_text, ts, uid, orig_h, orig_p, resp_h, resp_p, proto, query, qtype,
+         rcode) = gather(columns)
+        answers = build_answers(
+            _vector(data), _vector(ttls), [] if types_at is None else _vector(columns[types_at])
         )
-        for i, data in enumerate(answer_data)
-    )
-    rtt_text = _field(columns, fields, "rtt")
-    rtt = 0.0 if rtt_text == _UNSET else float(rtt_text)
-    ts = float(_field(columns, fields, "ts"))
-    # Boundary validation: the record types are plain NamedTuples, so
-    # untrusted values are checked here, where the bytes come in.
-    check_finite("ts", ts)
-    check_elapsed("rtt", rtt)
-    for answer in answers:
-        check_finite("answer TTL", answer.ttl)
-    return DnsRecord(
-        ts=ts,
-        uid=_field(columns, fields, "uid"),
-        orig_h=_field(columns, fields, "id.orig_h"),
-        orig_p=int(_field(columns, fields, "id.orig_p")),
-        resp_h=_field(columns, fields, "id.resp_h"),
-        resp_p=int(_field(columns, fields, "id.resp_p")),
-        proto=Proto.parse(_field(columns, fields, "proto")),
-        query=_field(columns, fields, "query"),
-        qtype=_field(columns, fields, "qtype_name"),
-        rcode=_field(columns, fields, "rcode_name"),
-        rtt=rtt,
-        answers=answers,
-    )
+        rtt = 0.0 if rtt_text == _UNSET else float(rtt_text)
+        ts = float(ts)
+        # Boundary validation: the record types are plain NamedTuples,
+        # so untrusted values are checked here, where the bytes come in.
+        check_finite("ts", ts)
+        check_elapsed("rtt", rtt)
+        for answer in answers:
+            check_finite("answer TTL", answer.ttl)
+        # Positional, in field order: keywords cost a name match per
+        # field and row. The writer spells an empty query (empty).
+        return DnsRecord(
+            ts, uid, intern(orig_h), int(orig_p), intern(resp_h), int(resp_p),
+            "" if query == _EMPTY else intern(query), intern(qtype), intern(rcode), rtt,
+            answers, parse_proto(proto),
+        )
 
+    def conn_row(line: str) -> ConnRecord:
+        columns = line.split(_SEPARATOR)
+        if len(columns) < width:
+            raise missing(columns)
+        (duration_text, orig_bytes, resp_bytes, ts, uid, orig_h, orig_p, resp_h, resp_p,
+         proto, service, conn_state) = gather(columns)
+        # Zeek leaves duration and the byte counts unset on one-packet
+        # connections.
+        duration = 0.0 if duration_text == _UNSET else float(duration_text)
+        orig_bytes = 0 if orig_bytes == _UNSET else int(orig_bytes)
+        resp_bytes = 0 if resp_bytes == _UNSET else int(resp_bytes)
+        ts = float(ts)
+        check_finite("ts", ts)
+        check_elapsed("duration", duration)
+        if orig_bytes < 0 or resp_bytes < 0:
+            raise LogFormatError("byte counts cannot be negative")
+        return ConnRecord(
+            ts, uid, intern(orig_h), int(orig_p), intern(resp_h), int(resp_p),
+            parse_proto(proto), duration, orig_bytes, resp_bytes, intern(service),
+            intern(conn_state),
+        )
 
-def _conn_from_tsv(line: str, fields: dict[str, int] | None) -> ConnRecord:
-    """Build one :class:`ConnRecord` from a TSV data line."""
-    if fields is None:
-        raise LogFormatError("data before #fields header")
-    columns = line.split(_SEPARATOR)
-    # Zeek leaves duration and the byte counts unset on one-packet
-    # connections.
-    duration_text = _field(columns, fields, "duration")
-    orig_text = _field(columns, fields, "orig_bytes")
-    resp_text = _field(columns, fields, "resp_bytes")
-    duration = 0.0 if duration_text == _UNSET else float(duration_text)
-    orig_bytes = 0 if orig_text == _UNSET else int(orig_text)
-    resp_bytes = 0 if resp_text == _UNSET else int(resp_text)
-    ts = float(_field(columns, fields, "ts"))
-    # Boundary validation (see _dns_from_tsv).
-    check_finite("ts", ts)
-    check_elapsed("duration", duration)
-    if orig_bytes < 0 or resp_bytes < 0:
-        raise LogFormatError("byte counts cannot be negative")
-    return ConnRecord(
-        ts=ts,
-        uid=_field(columns, fields, "uid"),
-        orig_h=_field(columns, fields, "id.orig_h"),
-        orig_p=int(_field(columns, fields, "id.orig_p")),
-        resp_h=_field(columns, fields, "id.resp_h"),
-        resp_p=int(_field(columns, fields, "id.resp_p")),
-        proto=Proto.parse(_field(columns, fields, "proto")),
-        service=_field(columns, fields, "service"),
-        duration=duration,
-        orig_bytes=orig_bytes,
-        resp_bytes=resp_bytes,
-        conn_state=_field(columns, fields, "conn_state"),
-    )
-
-
-_TSV_PARSERS = {"dns": _dns_from_tsv, "conn": _conn_from_tsv}
+    return dns_row if kind == "dns" else conn_row
 
 
 def _check_utf8(line: str) -> None:
@@ -323,35 +326,38 @@ def parse_lines(
     """Parse a text log's *lines* into *kind* (``"dns"`` or ``"conn"``) records.
 
     The one line loop behind every text read, whole-file or tailed.
-    ``#`` lines are headers, and each ``#fields`` line re-maps the
-    columns, so a tail that crosses a rotation picks up the new file's
-    layout. The first data line decides the format of the rest: ``{``
-    starts Zeek JSON, anything else is TSV laid out by the latest
-    ``#fields`` header. The row parsers name no location; this loop
-    owns the line number. A data line that held bytes which are not
-    UTF-8 is malformed too. Without *report* a malformed line raises
-    :class:`LogFormatError` as ``line N: <reason>``. With a report the
-    line is quarantined into it with the bare reason, every parsed
-    record is counted into it, and reading goes on.
+    A line ends at ``\n`` or ``\r\n``. ``#`` lines are headers, and
+    each ``#fields`` line is compiled into the TSV row parser
+    (:func:`_compile_row`), so a tail that crosses a rotation picks up
+    the new file's layout. The first data line decides the format of
+    the rest: ``{`` starts Zeek JSON, anything else is TSV laid out by
+    the latest ``#fields`` header. The row parsers name no location;
+    this loop owns the line number. A data line that held bytes which
+    are not UTF-8 is malformed too. Without *report* a malformed line
+    raises :class:`LogFormatError` as ``line N: <reason>``. With a
+    report the line is quarantined into it with the bare reason, every
+    parsed record is counted into it, and reading goes on.
     """
-    parse = None
-    fields: dict[str, int] | None = None
+    parse: Callable = _before_header
+    is_json = None
     for number, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
+        line = line.rstrip("\r\n")
         if not line:
             continue
         if line[0] == "#":
-            if line.startswith("#fields"):
-                parts = line.split(_SEPARATOR)
-                fields = {name: index for index, name in enumerate(parts[1:])}
+            if line.startswith("#fields") and not is_json:
+                parse = _compile_row(kind, line)
             continue
-        if parse is None:
-            parse = _json_parser(kind) if line.lstrip()[:1] == "{" else _TSV_PARSERS[kind]
+        if is_json is None:
+            is_json = line.lstrip()[:1] == "{"
+            if is_json:
+                parse = _json_parser(kind)
+        # float() of a JSON integer past the double range overflows.
         try:
             if not line.isascii():
                 _check_utf8(line)
-            record = parse(line, fields)
-        except (ValueError, LogFormatError) as exc:
+            record = parse(line)
+        except (ValueError, OverflowError, LogFormatError) as exc:
             if report is None:
                 raise LogFormatError(f"line {number}: {exc}") from exc
             report.quarantined.append(QuarantinedLine(number, str(exc), line))
@@ -385,7 +391,7 @@ def open_records(
     surviving rotation and truncation, until *idle_timeout_s* passes
     with no new data; a binlog is written whole and cannot be followed.
     """
-    if kind not in _TSV_PARSERS:
+    if kind not in _COLUMNS:
         raise ValueError(f"kind must be 'dns' or 'conn', got {kind!r}")
     if binlog.sniff_binlog(path) is not None:
         if follow:

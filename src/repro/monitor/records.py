@@ -23,7 +23,8 @@ immutable and hashable; the cost is that per-record validation no
 longer lives in a ``__post_init__``, so sanity checks on untrusted
 values belong to the ingest boundaries — the TSV/JSON parsers and the
 binlog block decoder — not here. The numeric rule they share is
-defined below (:func:`check_finite` and its siblings).
+defined below (:func:`check_finite` and its siblings), and so is the
+text parsers' answer-vector rule (:func:`build_answers`).
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
+from sys import intern
 from typing import NamedTuple, Sequence
 
 from repro.errors import LogFormatError
@@ -83,9 +86,13 @@ class Proto(enum.Enum):
     @classmethod
     def parse(cls, text: str) -> "Proto":
         try:
-            return cls(text.lower())
-        except ValueError as exc:
-            raise LogFormatError(f"unknown protocol {text!r}") from exc
+            return _PROTOS[text.lower()]
+        except KeyError:
+            raise LogFormatError(f"unknown protocol {text!r}") from None
+
+
+# A dict lookup: Enum.__call__ costs a Python call chain per parsed row.
+_PROTOS = {proto.value: proto for proto in Proto}
 
 
 class DnsAnswer(NamedTuple):
@@ -99,6 +106,17 @@ class DnsAnswer(NamedTuple):
     def is_address(self) -> bool:
         """True for A/AAAA answers (the data is an IP address)."""
         return self.rtype in ("A", "AAAA")
+
+
+def build_answers(data: list[str], ttls: list, types: list[str]) -> tuple[DnsAnswer, ...]:
+    """A logged transaction's answers from its three vectors, for the
+    TSV and JSON rows. *ttls* is empty (every TTL 0) or as long as
+    *data*; an answer past the end of *types* is an A record. Data and
+    types are shared through :func:`sys.intern`."""
+    if ttls and len(ttls) != len(data):
+        raise LogFormatError(f"{len(data)} answers but {len(ttls)} TTLs")
+    seconds = map(float, ttls) if ttls else repeat(0.0)
+    return tuple(map(DnsAnswer, map(intern, data), seconds, map(intern, chain(types, repeat("A")))))
 
 
 #: The rcode string Zeek logs for a query that never got a response

@@ -141,9 +141,10 @@ def conn_record_streams(
 #: Text for serialized string fields: any non-surrogate unicode except
 #: the TSV framing characters (tab/newline, which the text log escapes
 #: lossily). Nonempty and never the literal markers "-" (TSV's unset
-#: sentinel) or "(empty)" (its alias for ""), because a field *spelling*
-#: a marker aliases to the marked meaning on TSV read — the binary
-#: format's exactness on those values has its own directed test.
+#: sentinel) or "(empty)" (its alias for an empty query or vector),
+#: because a field *spelling* a marker aliases to the marked meaning on
+#: TSV read — the binary format's exactness on those values has its own
+#: directed test.
 field_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
     min_size=1,

@@ -124,6 +124,22 @@ class TestLogRoundtrip:
         assert loaded[0].total_bytes == 20992
         assert loaded[1].proto == Proto.UDP
 
+    def test_empty_vectors_read_as_no_answers(self):
+        # Zeek writes its #empty_field marker (empty) for an empty vector.
+        buffer = io.StringIO()
+        write_dns_log(buffer, [sample_dns(answers=())])
+        text = buffer.getvalue().replace("\t-\t-\t-\n", "\t(empty)\t(empty)\t(empty)\n")
+        assert text.count("(empty)") == 3
+        (loaded,) = parse_lines(io.StringIO(text), "dns")
+        assert loaded == sample_dns(answers=())
+
+    def test_empty_query_reads_back_empty(self):
+        buffer = io.StringIO()
+        write_dns_log(buffer, [sample_dns(query="")])
+        assert "\t(empty)\t" in buffer.getvalue()
+        (loaded,) = parse_lines(io.StringIO(buffer.getvalue()), "dns")
+        assert loaded.query == ""
+
     def test_reader_tolerates_field_reordering(self):
         buffer = io.StringIO()
         buffer.write("#separator \\x09\n")

@@ -3,16 +3,20 @@
 One generated trace is written in each format. Every ``analyze`` mode
 must then print the same report whichever format it reads, and the
 JSON log must stream, tail across a rotation, quarantine a torn line
-and convert like the TSV log does. The file also pins the two ingest
-rules the shared line loop owns: a malformed line is named by its line
-number exactly once, and Zeek's unset byte counts read as 0.
+and convert like the TSV log does. The file also pins the ingest rules
+the shared line loop owns: a malformed line is named by its line number
+exactly once, Zeek's unset byte counts read as 0, a JSON field of the
+wrong type is a malformed line, and a CRLF log reads alike whole and
+followed.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
+import re
 import threading
 import time
 
@@ -20,7 +24,17 @@ import pytest
 
 from repro.cli import EXIT_DATA, main
 from repro.core.context import ContextStudy
-from repro.monitor.logs import DNS_FIELDS, write_header
+from repro.errors import LogFormatError
+from repro.monitor.logs import (
+    DNS_FIELDS,
+    IngestReport,
+    open_records,
+    parse_lines,
+    write_conn_log,
+    write_dns_log,
+    write_header,
+)
+from repro.monitor.records import ConnRecord, DnsAnswer, DnsRecord, Proto
 
 #: Every ``analyze`` mode a log can be read in, by test id.
 MODES = {
@@ -275,3 +289,85 @@ def test_follow_refuses_or_quarantines_the_line_with_bad_bytes(logs, tmp_path):
     code, expected, _ = _run(*follow, "--dns", dns_path, "--conn", without)
     assert code == 0
     assert out == expected
+
+
+# -- JSON fields of the wrong type ----------------------------------------------
+
+JSON_ROWS = {
+    "dns": {
+        "ts": 100.0, "uid": "D1", "id.orig_h": "10.77.0.10", "id.orig_p": 40000,
+        "id.resp_h": "8.8.8.8", "id.resp_p": 53, "proto": "udp", "query": "q.com",
+        "rtt": 0.02, "answers": ["1.2.3.4"], "TTLs": [300.0], "answer_types": ["A"],
+    },
+    "conn": {
+        "ts": 100.5, "uid": "C1", "id.orig_h": "10.77.0.10", "id.orig_p": 50000,
+        "id.resp_h": "1.2.3.4", "id.resp_p": 443, "proto": "tcp", "service": "ssl",
+        "duration": 1.5, "orig_bytes": 100, "resp_bytes": 900, "conn_state": "SF",
+    },
+}
+
+#: case: (kind, field, hostile value, reason). At the parent of the type
+#: checks each of these read as a different record (a string's letters
+#: as seven answers, 1.7 or true as port 1, a list spelled as a query)
+#: or escaped as an uncaught OverflowError.
+HOSTILE_JSON = {
+    "answers-string": ("dns", "answers", "1.2.3.4", "field 'answers' must be an array of strings"),
+    "answer-number": ("dns", "answers", [1234], "field 'answers' must be an array of strings"),
+    "ttl-string": ("dns", "TTLs", ["300"], "field 'TTLs' must be an array of numbers"),
+    "ttl-bool": ("dns", "TTLs", [True], "field 'TTLs' must be an array of numbers"),
+    "type-number": ("dns", "answer_types", [1], "field 'answer_types' must be an array of strings"),
+    "port-float": ("dns", "id.orig_p", 1.7, "field 'id.orig_p' must be an integer"),
+    "port-bool": ("dns", "id.orig_p", True, "field 'id.orig_p' must be an integer"),
+    "query-list": ("dns", "query", ["q.com"], "field 'query' must be a string"),
+    "ts-string": ("dns", "ts", "100.0", "field 'ts' must be a number"),
+    "rtt-bool": ("dns", "rtt", True, "field 'rtt' must be a number"),
+    "bytes-float": ("conn", "orig_bytes", 1.5, "field 'orig_bytes' must be an integer"),
+    "duration-bool": ("conn", "duration", False, "field 'duration' must be a number"),
+    "proto-null": ("conn", "proto", None, "field 'proto' must be a string"),
+    "ts-overflow": ("conn", "ts", 10**400, "int too large to convert to float"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_JSON))
+def test_a_json_field_of_the_wrong_type_is_a_malformed_line(case):
+    kind, name, value, reason = HOSTILE_JSON[case]
+    good = json.dumps(JSON_ROWS[kind])
+    text = "\n".join([good, json.dumps({**JSON_ROWS[kind], name: value}), good]) + "\n"
+    with pytest.raises(LogFormatError, match=f"^line 2: {re.escape(reason)}$"):
+        list(parse_lines(io.StringIO(text), kind))
+    report = IngestReport(kind)
+    assert len(list(parse_lines(io.StringIO(text), kind, report))) == 2
+    assert [(line.line_number, line.reason) for line in report.quarantined] == [(2, reason)]
+
+
+# -- CRLF line ends ----------------------------------------------------------------
+
+CRLF_RECORDS = {
+    # The CNAME answer reads as an address when answer_types is lost.
+    "dns": [
+        DnsRecord(
+            ts=100.5, uid="D1", orig_h="10.77.0.10", orig_p=40000, resp_h="8.8.8.8",
+            resp_p=53, query="www.example.com", rtt=0.0125,
+            answers=(DnsAnswer("edge.cdn.net", 60.0, "CNAME"), DnsAnswer("1.2.3.4", 60.0)),
+        )
+    ],
+    "conn": [
+        ConnRecord(
+            ts=101.0, uid="C1", orig_h="10.77.0.10", orig_p=50000, resp_h="1.2.3.4",
+            resp_p=443, proto=Proto.TCP, duration=1.5, orig_bytes=100, resp_bytes=900,
+        )
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CRLF_RECORDS))
+def test_a_crlf_log_reads_alike_whole_and_followed(tmp_path, kind):
+    buffer = io.StringIO()
+    (write_dns_log if kind == "dns" else write_conn_log)(buffer, CRLF_RECORDS[kind])
+    path = tmp_path / f"{kind}.log"
+    path.write_bytes(buffer.getvalue().replace("\n", "\r\n").encode())
+    whole = list(open_records(str(path), kind))
+    followed = list(
+        open_records(str(path), kind, follow=True, idle_timeout_s=0.3, poll_interval_s=0.05)
+    )
+    assert whole == followed == CRLF_RECORDS[kind]
