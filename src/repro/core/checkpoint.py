@@ -67,7 +67,7 @@ from repro.monitor.records import ConnRecord, DnsRecord
 CHECKPOINT_MAGIC = "repro-stream-ckpt"
 """First header field of every checkpoint file."""
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 """Bumped on any incompatible change to the header or payload layout.
 
 Version 2: pairing-index expiry entries hold one shared candidate per
@@ -77,6 +77,8 @@ first-use flag; the uid-keyed record states and used-uid set are gone.
 Version 4: ``StreamingConfig``, pickled with the analyzer and digested
 into the header, lost its sketch-epsilon and drain-interval fields; the
 engine reads ``DEFAULT_SKETCH_EPSILON`` and ``DEFAULT_DRAIN_INTERVAL_S``.
+Version 5: the resolver observer lost its per-resolver failed-lookup
+tally (the failure stats count failures by outcome).
 """
 
 DEFAULT_CHECKPOINT_INTERVAL_S = 172800.0

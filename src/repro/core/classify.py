@@ -69,44 +69,41 @@ class ThresholdPolicy:
         raw = min_duration_s * self.multiplier
         return max(self.grid, math.ceil(raw / self.grid - 1e-9) * self.grid)
 
-
-@dataclass(frozen=True, slots=True)
-class ResolverDurationStats:
-    """Per-resolver lookup-duration aggregate (count + fastest lookup).
-
-    These numbers are all threshold derivation needs, and both fold
-    exactly (sum / min) — :class:`ResolverObserver` keeps them online
-    and merges household shards. ``lookups`` counts *answered*
-    transactions only: failed ones (timeout / SERVFAIL) carry the
-    client's give-up time, not the resolver's RTT, so letting them into
-    the minimum (or the min-lookups gate) would corrupt the SC/R
-    thresholds. They are tallied in ``failed_lookups`` instead.
-    """
-
-    lookups: int
-    min_rtt_s: float
-    failed_lookups: int = 0
+    def threshold(self, lookups: int, min_duration_s: float | None) -> float:
+        """The SC/R threshold in seconds for a resolver with *lookups*
+        answered lookups, the fastest of which took *min_duration_s*
+        seconds: ``default_threshold`` below ``min_lookups`` or with no
+        finite minimum (None: no lookup was answered), :meth:`derive`
+        otherwise."""
+        if lookups < self.min_lookups or min_duration_s is None or not math.isfinite(
+            min_duration_s
+        ):
+            return self.default_threshold
+        return self.derive(min_duration_s)
 
 
 class ResolverObserver:
-    """One-pass per-resolver duration *and* outcome aggregation.
+    """One-pass per-resolver lookup aggregate: thresholds and outcomes.
 
-    The incremental form of :func:`collect_resolver_stats` and
-    :func:`collect_failure_stats`: feed it DNS records one at a time
-    (:meth:`observe`) and read either aggregate at any point. The
-    per-connection collectors are thin wrappers over this class, so both
-    engines share one implementation and agree exactly — including dict
-    insertion order (first-appearance order of each resolver address).
+    Feed it DNS records one at a time (:meth:`observe`) and read either
+    aggregate at any point. The classifier fills one over the trace and
+    keeps it, so the per-resolver thresholds (:meth:`thresholds`) and
+    the failure block (:meth:`failure_stats`) are tallies of one pass;
+    the streaming engine keeps one in its state and merges household
+    shards with :meth:`merge_from`. Every dict it returns is in the
+    first-appearance order of the resolver addresses.
 
-    The streaming engine additionally uses :meth:`threshold_for` to get
-    a *running* SC/R threshold mid-stream (sketch mode classifies
-    online); exact mode only reads thresholds after the full pass,
-    where the running value equals the final one by construction.
+    Only *answered* lookups enter a resolver's lookup count and fastest
+    lookup: a failed one (timeout / SERVFAIL / REFUSED) carries the
+    client's give-up time, not the resolver's RTT, so letting it into
+    the minimum or the min-lookups gate would corrupt the SC/R
+    threshold. Sketch mode classifies online against the *running*
+    threshold (:meth:`threshold_for`); exact mode reads the thresholds
+    after the full pass, where the running value equals the final one.
     """
 
     __slots__ = (
         "_counts",
-        "_failed",
         "_minima",
         "_queries",
         "_servfails",
@@ -117,7 +114,6 @@ class ResolverObserver:
 
     def __init__(self) -> None:
         self._counts: dict[str, int] = defaultdict(int)
-        self._failed: dict[str, int] = defaultdict(int)
         self._minima: dict[str, float] = {}
         self._queries: dict[str, int] = defaultdict(int)
         self._servfails: dict[str, int] = defaultdict(int)
@@ -137,24 +133,12 @@ class ResolverObserver:
         elif record.rcode == "NXDOMAIN":
             self._nxdomains[record.resp_h] += 1
         if record.failed:
-            self._failed[record.resp_h] += 1
             self._counts.setdefault(record.resp_h, 0)
             return
         self._counts[record.resp_h] += 1
         current = self._minima.get(record.resp_h)
         if current is None or record.rtt < current:
             self._minima[record.resp_h] = record.rtt
-
-    def duration_stats(self) -> dict[str, ResolverDurationStats]:
-        """Per-resolver duration aggregates seen so far."""
-        return {
-            resolver: ResolverDurationStats(
-                lookups=count,
-                min_rtt_s=self._minima.get(resolver, math.inf),
-                failed_lookups=self._failed.get(resolver, 0),
-            )
-            for resolver, count in self._counts.items()
-        }
 
     def failure_stats(self) -> dict[str, ResolverFailureStats]:
         """Per-resolver outcome tallies seen so far."""
@@ -169,26 +153,24 @@ class ResolverObserver:
             for resolver, count in self._queries.items()
         }
 
-    def thresholds(self, policy: "ThresholdPolicy | None" = None) -> dict[str, float]:
+    def thresholds(self, policy: ThresholdPolicy | None = None) -> dict[str, float]:
         """Per-resolver SC/R thresholds from the records seen so far."""
-        return thresholds_from_stats(self.duration_stats(), policy)
+        policy = policy if policy is not None else ThresholdPolicy()
+        return {
+            resolver: policy.threshold(count, self._minima.get(resolver))
+            for resolver, count in self._counts.items()
+        }
 
-    def threshold_for(self, resolver: str, policy: "ThresholdPolicy | None" = None) -> float:
+    def threshold_for(self, resolver: str, policy: ThresholdPolicy | None = None) -> float:
         """Running SC/R threshold for one resolver (default until the
         min-lookups gate is met)."""
         policy = policy if policy is not None else ThresholdPolicy()
-        count = self._counts.get(resolver, 0)
-        minimum = self._minima.get(resolver)
-        if count < policy.min_lookups or minimum is None:
-            return policy.default_threshold
-        return policy.derive(minimum)
+        return policy.threshold(self._counts.get(resolver, 0), self._minima.get(resolver))
 
     def merge_from(self, other: "ResolverObserver") -> None:
         """Fold another observer's aggregates into this one (shard merge)."""
         for resolver, count in other._counts.items():
             self._counts[resolver] += count
-        for resolver, count in other._failed.items():
-            self._failed[resolver] += count
         for resolver, minimum in other._minima.items():
             current = self._minima.get(resolver)
             if current is None or minimum < current:
@@ -202,39 +184,6 @@ class ResolverObserver:
         ):
             for resolver, count in other_tally.items():
                 tally[resolver] += count
-
-
-def collect_resolver_stats(dns_records: list[DnsRecord]) -> dict[str, ResolverDurationStats]:
-    """Per-resolver-address duration aggregates for *dns_records*."""
-    observer = ResolverObserver()
-    for record in dns_records:
-        observer.observe(record)
-    return observer.duration_stats()
-
-
-def thresholds_from_stats(
-    stats: dict[str, ResolverDurationStats],
-    policy: ThresholdPolicy | None = None,
-) -> dict[str, float]:
-    """Per-resolver SC/R thresholds from duration aggregates."""
-    policy = policy if policy is not None else ThresholdPolicy()
-    thresholds: dict[str, float] = {}
-    for resolver, resolver_stats in stats.items():
-        if resolver_stats.lookups < policy.min_lookups or not math.isfinite(
-            resolver_stats.min_rtt_s
-        ):
-            thresholds[resolver] = policy.default_threshold
-        else:
-            thresholds[resolver] = policy.derive(resolver_stats.min_rtt_s)
-    return thresholds
-
-
-def resolver_thresholds(
-    dns_records: list[DnsRecord],
-    policy: ThresholdPolicy | None = None,
-) -> dict[str, float]:
-    """Per-resolver-address SC/R thresholds from lookup durations."""
-    return thresholds_from_stats(collect_resolver_stats(dns_records), policy)
 
 
 @dataclass(frozen=True, slots=True)
@@ -346,7 +295,9 @@ class ClassifierConfig:
 class Classifier:
     """Applies the N/LC/P/SC/R taxonomy to paired connections.
 
-    The per-resolver SC/R thresholds are derived from *dns_records*.
+    The per-resolver SC/R thresholds are derived from *dns_records*
+    through one :class:`ResolverObserver`, kept as :attr:`observer` so
+    the report reads the same pass's failure tallies.
     """
 
     def __init__(
@@ -355,7 +306,10 @@ class Classifier:
         config: ClassifierConfig | None = None,
     ) -> None:
         self.config = config if config is not None else ClassifierConfig()
-        self.thresholds = resolver_thresholds(dns_records, self.config.threshold_policy)
+        self.observer = ResolverObserver()
+        for record in dns_records:
+            self.observer.observe(record)
+        self.thresholds = self.observer.thresholds(self.config.threshold_policy)
 
     def threshold_for(self, resolver_address: str) -> float:
         """The SC/R duration threshold for one resolver address."""

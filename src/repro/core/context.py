@@ -31,7 +31,6 @@ from repro.core.classify import (
     ClassifierConfig,
     ResolverFailureStats,
     class_breakdown,
-    collect_failure_stats,
 )
 from repro.core.improvements import (
     RefreshComparison,
@@ -213,9 +212,10 @@ class ContextStudy:
         Failed transactions are first-class in the record stream but can
         never pair; this surfaces their rates per resolver address so a
         faulty platform is visible instead of silently shrinking the
-        paired population.
+        paired population. The tallies come from the classifier's
+        observer, the pass that derived the SC/R thresholds.
         """
-        return collect_failure_stats(self.trace.dns)
+        return self.classifier.observer.failure_stats()
 
     # -- §5 -------------------------------------------------------------------
 

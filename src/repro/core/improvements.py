@@ -20,6 +20,8 @@ import bisect
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
+from typing import Sequence
 
 from repro.core.classify import BLOCKED_CLASSES, ClassifiedConnection, ConnClass
 from repro.errors import AnalysisError
@@ -27,6 +29,9 @@ from repro.monitor.records import DnsRecord
 
 REFRESH_TTL_FLOOR = 10.0
 """Records with authoritative TTLs at or below this are not refreshed."""
+
+_completed_at = attrgetter("completed_at")
+_first = itemgetter(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,39 +66,22 @@ def whole_house_cache_analysis(
     classified: list[ClassifiedConnection],
 ) -> WholeHouseCacheAnalysis:
     """Simulate a per-residence shared cache over the observed traffic."""
-    # Index lookups by (house, query): completion times and expiries.
-    by_house_query: dict[tuple[str, str], list[tuple[float, float | None]]] = defaultdict(list)
-    for record in sorted(dns_records, key=lambda r: r.completed_at):
-        key = (record.orig_h, record.query.lower())
-        by_house_query[key].append((record.completed_at, record.expires_at))
-    times_index = {
-        key: [completed for completed, _ in entries] for key, entries in by_house_query.items()
-    }
-
-    def would_hit(house: str, query: str, when: float) -> bool:
-        """Was an earlier lookup's RRset still live at *when*?"""
-        key = (house, query.lower())
-        entries = by_house_query.get(key)
-        if not entries:
-            return False
-        cut = bisect.bisect_left(times_index[key], when)
-        for index in range(cut - 1, -1, -1):
-            completed, expires = entries[index]
-            if expires is not None and expires > when:
-                return True
-            # Older entries expire even earlier for the same TTL regime;
-            # but TTLs vary per response, so scan a bounded window.
-            if when - completed > 172800:
-                break
-        return False
-
+    # (completed, expires) per (house, folded name), in completion
+    # order; expires is None for a lookup with no answers.
+    lookups: dict[tuple[str, str], list[tuple[float, float | None]]] = defaultdict(list)
+    for record in sorted(dns_records, key=_completed_at):
+        completed = record.completed_at
+        ttl_s = record.min_ttl()
+        lookups[record.orig_h, record.query.lower()].append(
+            (completed, None if ttl_s is None else completed + ttl_s)
+        )
     sc_conns = sc_moved = r_conns = r_moved = 0
     for item in classified:
         if item.conn_class not in BLOCKED_CLASSES:
             continue
         dns = item.dns
         assert dns is not None
-        hit = would_hit(dns.orig_h, dns.query, dns.ts)
+        hit = _would_hit(lookups.get((dns.orig_h, dns.query.lower()), ()), dns.ts)
         if item.conn_class == ConnClass.SHARED_CACHE:
             sc_conns += 1
             sc_moved += int(hit)
@@ -108,6 +96,21 @@ def whole_house_cache_analysis(
         r_conns=r_conns,
         r_moved=r_moved,
     )
+
+
+def _would_hit(entries: Sequence[tuple[float, float | None]], when: float) -> bool:
+    """Was one of *entries*, a key's (completed, expires) pairs in
+    completion order, that completed before *when* still live then?
+    They are scanned newest first, stopping after the first one more
+    than 48 h old: TTLs vary per response, so an older lookup can
+    outlive a newer one, and the scan is bounded."""
+    for index in range(bisect.bisect_left(entries, when, key=_first) - 1, -1, -1):
+        completed, expires = entries[index]
+        if expires is not None and expires > when:
+            return True
+        if when - completed > 172800:
+            break
+    return False
 
 
 @dataclass(frozen=True, slots=True)

@@ -69,12 +69,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.core.blocking import KNEE_REFERENCE, GapAnalysis
-from repro.core.classify import (
-    ClassBreakdown,
-    ResolverFailureStats,
-    ResolverObserver,
-    thresholds_from_stats,
-)
+from repro.core.classify import ClassBreakdown, ResolverFailureStats, ResolverObserver
 from repro.core.context import StudyOptions
 from repro.core.pairing import Pairer, PairingCensus
 from repro.core.performance import (
@@ -593,7 +588,7 @@ def finalize_result(
     if not state.total_conns:
         raise AnalysisError("the trace has no connections to analyse")
     policy = config.options.classifier.threshold_policy
-    thresholds = thresholds_from_stats(state.observer.duration_stats(), policy)
+    thresholds = state.observer.thresholds(policy)
     # Table 2: split the deferred blocked sample at the final thresholds.
     contributions_sc: list[float] = []
     contributions_r: list[float] = []
@@ -753,7 +748,7 @@ def finalize_summary(state: StreamingState, config: StreamingConfig) -> Streamin
             state.class_n, state.class_lc, state.class_p, state.class_sc, state.class_r
         ),
         quadrant=quadrant,
-        thresholds=thresholds_from_stats(state.observer.duration_stats(), policy),
+        thresholds=state.observer.thresholds(policy),
         failure_stats=state.observer.failure_stats(),
         gap_sketch=state.gap_sketch,
         delay_sketch=state.delay_sketch,

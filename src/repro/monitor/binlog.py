@@ -65,8 +65,10 @@ from repro.monitor.records import (
     DnsAnswer,
     DnsRecord,
     Proto,
+    check_byte_count,
     check_elapsed_column,
     check_finite_column,
+    check_port,
 )
 
 # repro.core.checkpoint sits above repro.monitor in the import graph
@@ -155,18 +157,6 @@ def _decode_dictionary(buffer, offset: int) -> tuple[list[str], int]:
     return strings, offset + (offsets[-1] if count else 0)
 
 
-def _check_port(value: int) -> int:
-    if not 0 <= value <= 0xFFFF:
-        raise LogFormatError(f"port out of u16 range: {value}")
-    return value
-
-
-def _check_u64(value: int) -> int:
-    if not 0 <= value <= 0xFFFFFFFFFFFFFFFF:
-        raise LogFormatError(f"byte count out of u64 range: {value}")
-    return value
-
-
 # -- block encoding ----------------------------------------------------------
 
 
@@ -191,8 +181,8 @@ def _encode_dns_block(records: list[DnsRecord]) -> bytes:
     for record in records:
         ts.append(record.ts)
         rtt.append(record.rtt)
-        orig_p.append(_check_port(record.orig_p))
-        resp_p.append(_check_port(record.resp_p))
+        orig_p.append(check_port(record.orig_p))
+        resp_p.append(check_port(record.resp_p))
         proto.append(_PROTO_CODES[record.proto])
         uid.append(ref(record.uid))
         orig_h.append(ref(record.orig_h))
@@ -315,11 +305,11 @@ def _encode_conn_block(records: list[ConnRecord]) -> bytes:
     for record in records:
         ts.append(record.ts)
         duration.append(record.duration)
-        orig_p.append(_check_port(record.orig_p))
-        resp_p.append(_check_port(record.resp_p))
+        orig_p.append(check_port(record.orig_p))
+        resp_p.append(check_port(record.resp_p))
         proto.append(_PROTO_CODES[record.proto])
-        orig_bytes.append(_check_u64(record.orig_bytes))
-        resp_bytes.append(_check_u64(record.resp_bytes))
+        orig_bytes.append(check_byte_count(record.orig_bytes))
+        resp_bytes.append(check_byte_count(record.resp_bytes))
         uid.append(ref(record.uid))
         orig_h.append(ref(record.orig_h))
         resp_h.append(ref(record.resp_h))

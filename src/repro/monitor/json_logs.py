@@ -22,8 +22,10 @@ from repro.monitor.records import (
     DnsRecord,
     Proto,
     build_answers,
+    check_byte_count,
     check_elapsed,
     check_finite,
+    check_port,
 )
 
 
@@ -154,9 +156,9 @@ def _dns_from_json(line: str) -> DnsRecord:
         check_finite("answer TTL", answer.ttl)
     # Positional, in field order, as the TSV rows build it.
     return DnsRecord(
-        ts, uid, intern(orig_h), orig_p, intern(resp_h), get("id.resp_p", 53), intern(query),
-        intern(get("qtype_name", "A")), intern(get("rcode_name", "NOERROR")), rtt, answers,
-        Proto.parse(get("proto", "udp")),
+        ts, uid, intern(orig_h), check_port(orig_p), intern(resp_h),
+        check_port(get("id.resp_p", 53)), intern(query), intern(get("qtype_name", "A")),
+        intern(get("rcode_name", "NOERROR")), rtt, answers, Proto.parse(get("proto", "udp")),
     )
 
 
@@ -172,11 +174,11 @@ def _conn_from_json(line: str) -> ConnRecord:
     resp_bytes = get("resp_bytes", 0)
     check_finite("ts", ts)
     check_elapsed("duration", duration)
-    if orig_bytes < 0 or resp_bytes < 0:
-        raise LogFormatError("byte counts cannot be negative")
+    check_byte_count(orig_bytes)
+    check_byte_count(resp_bytes)
     return ConnRecord(
-        ts, uid, intern(orig_h), orig_p, intern(resp_h), resp_p, Proto.parse(proto),
-        duration, orig_bytes, resp_bytes, intern(get("service", "-")),
+        ts, uid, intern(orig_h), check_port(orig_p), intern(resp_h), check_port(resp_p),
+        Proto.parse(proto), duration, orig_bytes, resp_bytes, intern(get("service", "-")),
         intern(get("conn_state", "SF")),
     )
 

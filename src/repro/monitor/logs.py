@@ -29,8 +29,10 @@ from repro.monitor.records import (
     DnsRecord,
     Proto,
     build_answers,
+    check_byte_count,
     check_elapsed,
     check_finite,
+    check_port,
 )
 
 
@@ -272,9 +274,9 @@ def _compile_row(kind: str, header: str) -> Callable[[str], DnsRecord | ConnReco
         # Positional, in field order: keywords cost a name match per
         # field and row. The writer spells an empty query (empty).
         return DnsRecord(
-            ts, uid, intern(orig_h), int(orig_p), intern(resp_h), int(resp_p),
-            "" if query == _EMPTY else intern(query), intern(qtype), intern(rcode), rtt,
-            answers, parse_proto(proto),
+            ts, uid, intern(orig_h), check_port(int(orig_p)), intern(resp_h),
+            check_port(int(resp_p)), "" if query == _EMPTY else intern(query), intern(qtype),
+            intern(rcode), rtt, answers, parse_proto(proto),
         )
 
     def conn_row(line: str) -> ConnRecord:
@@ -291,12 +293,12 @@ def _compile_row(kind: str, header: str) -> Callable[[str], DnsRecord | ConnReco
         ts = float(ts)
         check_finite("ts", ts)
         check_elapsed("duration", duration)
-        if orig_bytes < 0 or resp_bytes < 0:
-            raise LogFormatError("byte counts cannot be negative")
+        check_byte_count(orig_bytes)
+        check_byte_count(resp_bytes)
         return ConnRecord(
-            ts, uid, intern(orig_h), int(orig_p), intern(resp_h), int(resp_p),
-            parse_proto(proto), duration, orig_bytes, resp_bytes, intern(service),
-            intern(conn_state),
+            ts, uid, intern(orig_h), check_port(int(orig_p)), intern(resp_h),
+            check_port(int(resp_p)), parse_proto(proto), duration, orig_bytes, resp_bytes,
+            intern(service), intern(conn_state),
         )
 
     return dns_row if kind == "dns" else conn_row

@@ -23,8 +23,10 @@ immutable and hashable; the cost is that per-record validation no
 longer lives in a ``__post_init__``, so sanity checks on untrusted
 values belong to the ingest boundaries — the TSV/JSON parsers and the
 binlog block decoder — not here. The numeric rule they share is
-defined below (:func:`check_finite` and its siblings), and so is the
-text parsers' answer-vector rule (:func:`build_answers`).
+defined below (:func:`check_finite` and its siblings), and so are the
+range rule for ports and byte counts (:func:`check_port`,
+:func:`check_byte_count`) and the text parsers' answer-vector rule
+(:func:`build_answers`).
 """
 
 from __future__ import annotations
@@ -75,6 +77,29 @@ def check_elapsed_column(field: str, values: Sequence[float]) -> None:
     check_finite_column(field, values)
     if min(values, default=0.0) < 0:
         raise ValueError(f"{field} cannot be negative")
+
+
+# The range rule, applied by the TSV and JSON rows and by the RBLG
+# encoder: a port is 0–65535 and a byte count 0–2^64−1, the u16 and
+# u64 widths RBLG stores them in, so every log that reads also
+# converts. A violation raises LogFormatError, which the text line loop
+# numbers and lenient ingest quarantines.
+
+
+def check_port(value: int) -> int:
+    """Return *value*, or raise LogFormatError unless it is 0–65535."""
+    if not 0 <= value <= 0xFFFF:
+        raise LogFormatError(f"port out of u16 range: {value}")
+    return value
+
+
+def check_byte_count(value: int) -> int:
+    """Return *value*, or raise LogFormatError unless it is 0–2^64−1."""
+    if not 0 <= value <= 0xFFFFFFFFFFFFFFFF:
+        if value < 0:
+            raise LogFormatError("byte counts cannot be negative")
+        raise LogFormatError(f"byte count out of u64 range: {value}")
+    return value
 
 
 class Proto(enum.Enum):

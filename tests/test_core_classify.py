@@ -9,7 +9,6 @@ from repro.core.classify import (
     ConnClass,
     ThresholdPolicy,
     class_breakdown,
-    resolver_thresholds,
 )
 from repro.core.pairing import pair_trace
 from repro.errors import AnalysisError
@@ -56,13 +55,15 @@ class TestThresholds:
     def test_per_resolver_thresholds(self):
         records = [dns(f"D{i}", float(i), "1.2.3.4", rtt=0.002 + 0.0001 * i) for i in range(250)]
         records += [dns(f"E{i}", float(i), "5.6.7.8", rtt=0.02, resolver="8.8.8.8") for i in range(250)]
-        thresholds = resolver_thresholds(records, ThresholdPolicy(min_lookups=200))
+        config = ClassifierConfig(threshold_policy=ThresholdPolicy(min_lookups=200))
+        thresholds = Classifier(records, config).thresholds
         assert thresholds[LOCAL_RESOLVER] == pytest.approx(0.005)
         assert thresholds["8.8.8.8"] == pytest.approx(0.030)
 
     def test_sparse_resolver_gets_default(self):
         records = [dns("D1", 0.0, "1.2.3.4", rtt=0.05, resolver="9.9.9.9")]
-        thresholds = resolver_thresholds(records)
+        config = ClassifierConfig(threshold_policy=ThresholdPolicy())
+        thresholds = Classifier(records, config).thresholds
         assert thresholds["9.9.9.9"] == pytest.approx(0.005)
 
 

@@ -1,13 +1,16 @@
 """Tests for repro.core.improvements: §8's whole-house and refresh sims."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.classify import Classifier, ConnClass
+from repro.core.classify import Classifier, ClassifiedConnection, ConnClass
 from repro.core.improvements import (
     RefreshSimulator,
+    WholeHouseCacheAnalysis,
     whole_house_cache_analysis,
 )
-from repro.core.pairing import pair_trace
+from repro.core.pairing import PairedConnection, pair_trace
 from repro.errors import AnalysisError
 from repro.monitor.records import ConnRecord, DnsAnswer, DnsRecord, Proto
 
@@ -90,6 +93,103 @@ class TestWholeHouseCache:
         assert analysis.r_moved == 1
         assert analysis.sc_moved_fraction == pytest.approx(0.5)
         assert analysis.r_moved_fraction == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("age_s, moved", [(172800.0, 1), (172801.0, 0)])
+    def test_scan_back_stops_after_the_first_lookup_past_48_h(self, age_s, moved):
+        # D1 is still live when D3 is sent. D2, expired by then, is
+        # scanned first: exactly 48 h old it does not stop the scan, and
+        # older it does.
+        records = [
+            dns("D1", 0.0, "1.2.3.4", rtt=0.0, ttl=500000.0),
+            dns("D2", 100.0, "1.2.3.4", rtt=0.0, ttl=30.0),
+            dns("D3", 100.0 + age_s, "1.2.3.4", rtt=0.0),
+        ]
+        conns = [conn("C3", 100.005 + age_s, "1.2.3.4")]
+        analysis = whole_house_cache_analysis(records, classify(records, conns))
+        assert analysis.moved_conns == moved
+
+
+@st.composite
+def whole_house_traces(draw):
+    """Shuffled lookups and the classified connections paired to them.
+
+    Lookups tie on completion (``ts + rtt`` from different parts), some
+    have no answers, names differ only in case, and TTLs reach past the
+    48 h scan-back bound; connections of every class share the trace.
+    """
+    names = st.sampled_from(("a.example.com", "A.Example.COM", "b.example.com"))
+    ttls = st.lists(st.sampled_from((0.0, 30.0, 600.0, 172800.0, 500000.0)), max_size=2)
+    halves = st.sampled_from((0.0, 0.5))
+    records = []
+    # Bursts of lookups from one house at one base time, so that
+    # completions often tie.
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        base = draw(st.sampled_from((0.0, 600.0, 172800.0, 180000.0)))
+        house = draw(st.sampled_from((HOUSE_A, HOUSE_B)))
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            records.append(DnsRecord(
+                ts=base + draw(halves), uid=f"D{len(records)}", orig_h=house, orig_p=40000,
+                resp_h=LOCAL, resp_p=53, query=draw(names), rtt=draw(halves),
+                answers=tuple(DnsAnswer("1.2.3.4", ttl) for ttl in draw(ttls)),
+            ))
+    records = draw(st.permutations(records))
+    classified = []
+    for index, record in enumerate(records):
+        conn_class = draw(st.sampled_from((None, *ConnClass)))
+        if conn_class is None:
+            continue
+        lookup = None if conn_class == ConnClass.NO_DNS else record
+        pairing = PairedConnection(
+            conn(f"C{index}", record.completed_at + 0.01, "1.2.3.4", house=record.orig_h),
+            lookup, candidates=1, expired_pairing=False, first_use=True,
+        )
+        platform = None if lookup is None else "local"
+        classified.append(ClassifiedConnection(pairing, conn_class, platform))
+    return records, classified
+
+
+def _whole_house_by_brute_force(records, classified):
+    """§8's rule with no index: a blocked connection moves when a lookup
+    of its lookup's house and folded name that completed before its
+    lookup was sent is still live then, scanning those lookups newest
+    first (completion ties in input order) and stopping after the first
+    one more than 48 h old."""
+    counts = {ConnClass.SHARED_CACHE: [0, 0], ConnClass.RESOLUTION: [0, 0]}
+    for item in classified:
+        if item.conn_class not in counts:
+            continue
+        lookup, hit = item.dns, False
+        earlier = sorted(
+            (
+                record for record in records
+                if record.orig_h == lookup.orig_h
+                and record.query.lower() == lookup.query.lower()
+                and record.completed_at < lookup.ts
+            ),
+            key=lambda record: record.completed_at,
+        )
+        for record in reversed(earlier):
+            if record.answers and record.completed_at + record.min_ttl() > lookup.ts:
+                hit = True
+                break
+            if lookup.ts - record.completed_at > 48 * 3600:
+                break
+        counts[item.conn_class][0] += 1
+        counts[item.conn_class][1] += hit
+    (sc_conns, sc_moved), (r_conns, r_moved) = counts.values()
+    return WholeHouseCacheAnalysis(
+        total_conns=len(classified), moved_conns=sc_moved + r_moved, sc_conns=sc_conns,
+        sc_moved=sc_moved, r_conns=r_conns, r_moved=r_moved,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(whole_house_traces())
+def test_whole_house_matches_its_rule_by_brute_force(trace):
+    records, classified = trace
+    assert whole_house_cache_analysis(records, classified) == (
+        _whole_house_by_brute_force(records, classified)
+    )
 
 
 class TestRefreshSimulator:

@@ -15,12 +15,7 @@ import pytest
 
 from repro.cli import EXIT_DATA, EXIT_NOINPUT, EXIT_SOFTWARE, main
 from repro.core import parallel as parallel_mod
-from repro.core.classify import (
-    ResolverObserver,
-    collect_failure_stats,
-    collect_resolver_stats,
-    thresholds_from_stats,
-)
+from repro.core.classify import ResolverObserver, ThresholdPolicy, collect_failure_stats
 from repro.core.context import ContextStudy
 from repro.core.pairing import DnsIndex, unused_lookup_fraction
 from repro.core.parallel import run_pipeline
@@ -437,15 +432,25 @@ class TestFailedRecordSemantics:
             answered_record("D2", rtt=0.030),
             failed_record("D3", rcode="-"),
         ]
-        stats = collect_resolver_stats(records)["8.8.8.8"]
-        assert stats.lookups == 2
-        assert stats.failed_lookups == 1
-        assert stats.min_rtt_s == pytest.approx(0.010)
+        observer = ResolverObserver()
+        for record in records:
+            observer.observe(record)
+        # A policy whose threshold is the minimum itself reads the
+        # aggregate: the failed lookup (rtt 0) enters neither the 10 ms
+        # minimum nor the min-lookups gate of the two answered ones.
+        exact = ThresholdPolicy(multiplier=1.0, grid=1e-6, min_lookups=2)
+        assert observer.threshold_for("8.8.8.8", exact) == pytest.approx(0.010)
+        gated = ThresholdPolicy(multiplier=1.0, grid=1e-6, min_lookups=3)
+        assert observer.threshold_for("8.8.8.8", gated) == gated.default_threshold
+        assert observer.failure_stats()["8.8.8.8"].failures == 1
 
     def test_all_failed_resolver_gets_default_threshold(self):
-        stats = collect_resolver_stats([failed_record("D1"), failed_record("D2")])
-        thresholds = thresholds_from_stats(stats)
-        assert thresholds["8.8.8.8"] > 0
+        observer = ResolverObserver()
+        for record in (failed_record("D1"), failed_record("D2")):
+            observer.observe(record)
+        policy = ThresholdPolicy(min_lookups=0)
+        thresholds = observer.thresholds(policy)
+        assert thresholds["8.8.8.8"] == policy.default_threshold > 0
 
     def test_failure_stats_count_and_merge(self):
         records = [

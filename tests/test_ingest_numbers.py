@@ -5,12 +5,17 @@
 :class:`LogFormatError` naming the line (TSV, JSON) or block (RBLG);
 lenient TSV ingest quarantines the line instead. Without the rule a NaN
 sorts silently into a wrong order statistic.
+
+The range rule rides along: a port is 0–65535 and a byte count
+0–2^64−1, the widths RBLG stores them in, so a text log that reads can
+also be converted.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import re
 
 import pytest
 
@@ -157,3 +162,59 @@ def test_analyze_refuses_a_nan_rtt_and_lenient_drops_it(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "1 quarantined" in captured.err
     assert "nan" not in captured.out
+
+
+# (kind, field override, reason): each is a value RBLG cannot store.
+OUT_OF_RANGE = {
+    "dns orig_p 70000": ("dns", {"orig_p": 70000}, "port out of u16 range: 70000"),
+    "dns resp_p -5": ("dns", {"resp_p": -5}, "port out of u16 range: -5"),
+    "conn orig_p -1": ("conn", {"orig_p": -1}, "port out of u16 range: -1"),
+    "conn resp_p 65536": ("conn", {"resp_p": 65536}, "port out of u16 range: 65536"),
+    "conn orig_bytes 2^70": (
+        "conn", {"orig_bytes": 2**70}, f"byte count out of u64 range: {2**70}",
+    ),
+    "conn resp_bytes 2^64": (
+        "conn", {"resp_bytes": 2**64}, f"byte count out of u64 range: {2**64}",
+    ),
+}
+
+WRITERS = {
+    ("tsv", "dns"): write_dns_log,
+    ("tsv", "conn"): write_conn_log,
+    ("json", "dns"): write_dns_json,
+    ("json", "conn"): write_conn_json,
+}
+
+
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_out_of_range_port_or_byte_count_is_a_malformed_line(fmt, case, lenient):
+    kind, override, reason = OUT_OF_RANGE[case]
+    make = _dns if kind == "dns" else _conn
+    records = [make(0), make(1)._replace(**override), make(2)]
+    buffer = io.StringIO()
+    WRITERS[fmt, kind](buffer, records)
+    lines = io.StringIO(buffer.getvalue())
+    number = 5 if fmt == "tsv" else 2
+    if not lenient:
+        with pytest.raises(LogFormatError, match=rf"^line {number}: {re.escape(reason)}$"):
+            list(parse_lines(lines, kind))
+        return
+    report = IngestReport(kind)
+    assert list(parse_lines(lines, kind, report)) == [records[0], records[2]]
+    assert [(line.line_number, line.reason) for line in report.quarantined] == [
+        (number, reason)
+    ]
+
+
+def test_convert_names_the_out_of_range_line(tmp_path, capsys):
+    source, target = str(tmp_path / "conn.log"), str(tmp_path / "conn.rblg")
+    records = [_conn(i) for i in range(10)]
+    records[6] = records[6]._replace(orig_p=70000)
+    save_conn_log(source, records)
+    assert main(["convert", source, target]) == EXIT_DATA
+    assert "line 10: port out of u16 range: 70000" in capsys.readouterr().err
+    assert main(["convert", "--lenient", source, target]) == 0
+    assert "line 10: port out of u16 range: 70000" in capsys.readouterr().err
+    assert read_conn_binlog(open(target, "rb").read()) == records[:6] + records[7:]
