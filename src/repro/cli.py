@@ -235,10 +235,10 @@ def _run_streaming_report(
     )
     if args.exact_stats:
         report = render_pipeline_report(result)
-        if ingest is not None:
-            _print_ingest_reports(ingest, sys.stderr)
     else:
-        report = render_streaming_summary(result, ingest=ingest)
+        report = render_streaming_summary(result)
+    if ingest is not None:
+        _print_ingest_reports(ingest, sys.stderr)
     if checkpoint is not None:
         # The run completed: the checkpoint has nothing left to resume.
         discard_checkpoint(checkpoint.path)

@@ -1,15 +1,15 @@
 """TTL-aware DNS caches.
 
-The same cache structure backs three different actors in this library:
+The same cache structure backs two actors in this library:
 
 * the **stub cache** on each simulated device (optionally violating TTLs,
   which §5.2 of the paper measures at 22.2% of local-cache connections),
-* the **shared cache** inside each recursive resolver platform, and
-* the **whole-house cache** simulated in §8 of the paper.
+  whose first-use flag separates a prefetched connection (P) from a
+  local-cache one (LC) in the simulator's ground truth, and
+* the **shared cache** inside each recursive resolver platform.
 
 Entries are keyed by ``(qname, qtype)`` (case-folded). Every entry keeps
-its absolute deadlines (see below), plus usage accounting the analysis
-layer relies on (first-use detection, expired-use detection).
+its absolute deadlines (see below) and whether it has been used.
 
 Capacity-bounded caches evict under one of three pluggable policies
 (production resolvers differ here, and it matters under pressure):
@@ -31,18 +31,22 @@ entry's overstay and (for serve-stale caches) staleness budget once and
 stores three absolute times on the :class:`CacheEntry`, associated
 left to right::
 
-    expires_at     = stored_at + ttl
+    expires_at     = now + ttl
     servable_until = expires_at + overstay
     dead_at        = servable_until + stale_budget
 
 The budget is 0 outside serve-stale caches, where ``dead_at ==
 servable_until``. An entry is fresh while ``now < expires_at``, served
 flagged expired while ``now < servable_until``, served stale while
-``now < dead_at``, and gone once ``now >= dead_at``. ``get``,
-``probe``, ``purge_expired``, ``expiring_before`` and eviction all
-compare ``now`` with these same stored numbers, so an entry exactly at
-the boundary is dropped by a purge *and* is a miss on the next lookup,
-never one without the other.
+``now < dead_at``, and gone once ``now >= dead_at``.
+
+**One lookup rule.** :meth:`DnsCache.get` and :meth:`DnsCache.probe`
+are two views of one lookup step, which compares ``now`` with those
+stored numbers, drops a dead entry, counts the outcome, moves a hit to
+the most-recently-used end and marks the entry used. ``get`` builds the
+aged RRset and a :class:`CacheLookup`; ``probe`` returns ``(hit,
+expired)`` and builds neither. Eviction compares with the same stored
+numbers.
 
 The serve-stale victim search walks the entries in LRU order and
 compares ``now`` with two stored floats per entry, stopping at the
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from repro.dns.name import DomainName
 from repro.dns.rr import ResourceRecord, RRType
@@ -107,8 +111,6 @@ class CacheEntry:
 
     key: CacheKey
     records: tuple[ResourceRecord, ...]
-    stored_at: float
-    ttl: float  # repro-lint: disable=UNIT001 RFC 1035 field name; DNS TTLs are seconds by definition and every DNS library spells it 'ttl'
     #: Absolute time at which the entry's TTL runs out.
     expires_at: float
     #: ``expires_at`` plus the tolerated overstay.
@@ -117,8 +119,8 @@ class CacheEntry:
     stale_budget: float
     #: ``servable_until`` plus ``stale_budget``: gone from this instant.
     dead_at: float
-    uses: int = 0
-    last_used: float | None = None
+    #: Set by the cache alone: by a lookup hit or :meth:`DnsCache.mark_used`.
+    used: bool = False
     #: Memo for :meth:`aged_records`: ``(remaining, records)`` of the
     #: last call. The aged RRset depends only on the whole-second
     #: remaining TTL, so bursts of probes within the same second (a
@@ -155,8 +157,9 @@ class CacheEntry:
 
 @dataclass(frozen=True, slots=True)
 class CacheLookup:
-    """Outcome of a cache probe.
+    """Outcome of a cache lookup.
 
+    ``first_use`` is True when the hit is the entry's first use.
     ``stale`` marks a serve-stale answer (RFC 8767): the entry's TTL —
     and any tolerated overstay — had run out, but it was still inside
     its staleness budget. ``expired`` is True for both overstay hits and
@@ -167,7 +170,6 @@ class CacheLookup:
     records: tuple[ResourceRecord, ...] = ()
     expired: bool = False
     first_use: bool = False
-    entry_age: float = 0.0
     stale: bool = False
 
     def addresses(self) -> tuple[str, ...]:
@@ -183,18 +185,15 @@ _MISS = CacheLookup(hit=False)
 class CacheStats:
     """Aggregate counters for one cache instance.
 
-    All fields are plain additive counters, so per-shard (or
-    per-resolver) tallies merge by addition into exactly the
-    whole-population tally — the contract per-house generation's merge
-    step relies on (see :meth:`merged_with` / :meth:`merge`).
+    The stub and the resolver caches are read alike: generation copies
+    each cache's counters into the run's additive
+    :class:`~repro.core.parallel.PressureStats` tally, house by house.
     """
 
     hits: int = 0
     misses: int = 0
     expired_hits: int = 0
-    insertions: int = 0
     evictions: int = 0
-    refreshes: int = 0
     #: RFC 8767 serve-stale accounting: answers served past TTL (and
     #: overstay) but within the staleness budget, and entries dropped
     #: because even the staleness budget had lapsed.
@@ -213,27 +212,6 @@ class CacheStats:
             return 0.0
         return self.hits / self.lookups
 
-    def merged_with(self, other: "CacheStats") -> "CacheStats":
-        """The counter tally over both samples."""
-        return CacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            expired_hits=self.expired_hits + other.expired_hits,
-            insertions=self.insertions + other.insertions,
-            evictions=self.evictions + other.evictions,
-            refreshes=self.refreshes + other.refreshes,
-            stale_serves=self.stale_serves + other.stale_serves,
-            stale_expirations=self.stale_expirations + other.stale_expirations,
-        )
-
-    @classmethod
-    def merge(cls, parts: Sequence["CacheStats"]) -> "CacheStats":
-        """Merge many tallies (addition is associative and commutative)."""
-        merged = cls()
-        for part in parts:
-            merged = merged.merged_with(part)
-        return merged
-
 
 class DnsCache:
     """An LRU, TTL-aware DNS cache with pluggable eviction.
@@ -247,9 +225,6 @@ class DnsCache:
         served (``0`` = strict TTL honoring), or a callable
         ``overstay(key) -> float`` evaluated when the entry is stored.
         This models the real-world TTL violations §5.2 quantifies.
-    min_ttl_s / max_ttl_s:
-        Clamp stored TTLs, mirroring resolver implementations that floor
-        or cap TTLs.
     policy:
         One of :data:`EVICTION_POLICIES`; chooses both the
         capacity-eviction victim and (for ``"serve-stale"``) whether
@@ -267,25 +242,17 @@ class DnsCache:
         self,
         capacity: int | None = None,
         overstay: float | Callable[[CacheKey], float] = 0.0,
-        min_ttl_s: float = 0.0,
-        max_ttl_s: float | None = None,
         policy: str = "lru",
         stale_ttl_s: float | Callable[[CacheKey], float] = 0.0,
     ):
         if capacity is not None and capacity <= 0:
             raise DnsError(f"cache capacity must be positive, got {capacity}")
-        if min_ttl_s < 0:
-            raise DnsError(f"min_ttl_s must be non-negative, got {min_ttl_s}")
-        if max_ttl_s is not None and max_ttl_s < min_ttl_s:
-            raise DnsError("max_ttl_s must be >= min_ttl_s")
         if policy not in EVICTION_POLICIES:
             raise DnsError(
                 f"unknown cache eviction policy {policy!r}; expected one of {EVICTION_POLICIES}"
             )
         self._capacity = capacity
         self._overstay = overstay
-        self._min_ttl_s = min_ttl_s
-        self._max_ttl_s = max_ttl_s
         self._policy = policy
         self._serves_stale = policy == "serve-stale"
         if self._serves_stale and not callable(stale_ttl_s) and float(stale_ttl_s) <= 0.0:
@@ -293,11 +260,6 @@ class DnsCache:
         self._stale_ttl_s = stale_ttl_s
         self._entries: OrderedDict[CacheKey, CacheEntry] = OrderedDict()
         self.stats = CacheStats()
-
-    @property
-    def policy(self) -> str:
-        """The configured eviction policy (see :data:`EVICTION_POLICIES`)."""
-        return self._policy
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -352,67 +314,49 @@ class DnsCache:
             del entries[victim]
         self.stats.evictions += 1
 
-    def put(
-        self,
-        key: CacheKey,
-        records: tuple[ResourceRecord, ...],
-        now: float,
-        ttl: float | None = None,  # repro-lint: disable=UNIT001 RFC 1035 parameter name; DNS TTLs are seconds by definition and every DNS library spells it 'ttl'
-    ) -> CacheEntry:
-        """Store *records* under *key* at time *now*.
+    def put(self, key: CacheKey, records: tuple[ResourceRecord, ...], now: float) -> CacheEntry:
+        """Store *records* under *key* at time *now*, for their minimum TTL.
 
-        ``ttl`` overrides the minimum record TTL when given (the §8
-        refresh simulator uses this to apply the max-observed TTL rule).
+        The stub stores each answer it receives, and the resolver each
+        answer and delegation it learns.
         """
         if not records:
             raise DnsError("refusing to cache an empty RRset")
-        if ttl is not None:
-            effective_ttl = float(ttl)
-        elif len(records) == 1:
+        if len(records) == 1:
             # Most RRsets in the simulated universe hold one record;
             # skip the generator the min() path would allocate.
-            effective_ttl = float(records[0].ttl)
+            expires_at = now + float(records[0].ttl)
         else:
-            effective_ttl = float(min(rr.ttl for rr in records))
-        effective_ttl = max(self._min_ttl_s, effective_ttl)
-        if self._max_ttl_s is not None:
-            effective_ttl = min(self._max_ttl_s, effective_ttl)
-        expires_at = now + effective_ttl
+            expires_at = now + float(min(rr.ttl for rr in records))
         servable_until = expires_at + self._overstay_for(key)
         stale_budget = self._stale_for(key) if self._serves_stale else 0.0
         entry = CacheEntry(
-            key,
-            records,
-            now,
-            effective_ttl,
-            expires_at,
-            servable_until,
-            stale_budget,
-            servable_until + stale_budget,
+            key, records, expires_at, servable_until, stale_budget, servable_until + stale_budget
         )
         entries = self._entries
         if key in entries:
             del entries[key]
         entries[key] = entry
-        self.stats.insertions += 1
         if self._capacity is not None:
             while len(entries) > self._capacity:
                 self._evict_one(now)
         return entry
 
-    def get(self, key: CacheKey, now: float) -> CacheLookup:
-        """Probe the cache at time *now*, updating usage accounting.
+    def _serve(self, key: CacheKey, now: float) -> tuple[CacheEntry, bool, bool, bool] | None:
+        """The one lookup step: ``(entry, expired, stale, first_use)``, or None on a miss.
 
-        The expiry test is inlined (rather than going through
-        :meth:`CacheEntry.is_expired`) because this is the single hottest
-        call in trace generation.
+        Counts the outcome, drops an entry past even its staleness
+        budget (a miss), and moves a hit to the most-recently-used end
+        and marks it used. The expiry test is inlined (rather than going
+        through :meth:`CacheEntry.is_expired`) because this is the
+        hottest call in trace generation.
         """
         entries = self._entries
         stats = self.stats
         entry = entries.get(key)
         if entry is None:
             stats.misses += 1
-            return _MISS
+            return None
         expired = now >= entry.expires_at
         stale = False
         if expired:
@@ -421,62 +365,50 @@ class DnsCache:
                 if entry.stale_budget > 0.0:
                     stats.stale_expirations += 1
                 stats.misses += 1
-                return _MISS
+                return None
             # Past the tolerated overstay but inside the staleness
             # budget (RFC 8767): a stale serve.
             stale = now >= entry.servable_until
-        first_use = entry.uses == 0
-        entry.uses += 1
-        entry.last_used = now
-        entries.move_to_end(key)
-        stats.hits += 1
-        if expired:
             stats.expired_hits += 1
             if stale:
                 stats.stale_serves += 1
-        return CacheLookup(
-            True,
-            entry.aged_records(now) if not expired else entry.records,
-            expired,
-            first_use,
-            now - entry.stored_at,
-            stale,
-        )
+        stats.hits += 1
+        entries.move_to_end(key)
+        first_use = not entry.used
+        entry.used = True
+        return entry, expired, stale, first_use
+
+    def get(self, key: CacheKey, now: float) -> CacheLookup:
+        """Look *key* up at time *now*; a fresh hit carries the aged RRset."""
+        served = self._serve(key, now)
+        if served is None:
+            return _MISS
+        entry, expired, stale, first_use = served
+        records = entry.records if expired else entry.aged_records(now)
+        return CacheLookup(True, records, expired, first_use, stale)
 
     def probe(self, key: CacheKey, now: float) -> tuple[bool, bool]:
-        """Probe the cache at *now*, returning only ``(hit, expired)``.
+        """Look *key* up at *now* as :meth:`get` does, returning only ``(hit, expired)``.
 
-        Behaviourally identical to :meth:`get` — same stats counters,
-        LRU movement, usage accounting, and overstay eviction — but
-        skips materializing the aged RRset and the :class:`CacheLookup`.
-        For callers that only need freshness (the resolver's delegation
-        checks probe once per zone hop per resolution).
+        Builds neither the aged RRset nor a :class:`CacheLookup`: the
+        resolver's delegation checks probe once per zone hop per
+        resolution and need only freshness.
         """
-        entries = self._entries
-        stats = self.stats
-        entry = entries.get(key)
-        if entry is None:
-            stats.misses += 1
+        served = self._serve(key, now)
+        if served is None:
             return (False, False)
-        expired = now >= entry.expires_at
-        stale = False
-        if expired:
-            if now >= entry.dead_at:
-                del entries[key]
-                if entry.stale_budget > 0.0:
-                    stats.stale_expirations += 1
-                stats.misses += 1
-                return (False, False)
-            stale = now >= entry.servable_until
-        entry.uses += 1
-        entry.last_used = now
-        entries.move_to_end(key)
-        stats.hits += 1
-        if expired:
-            stats.expired_hits += 1
-            if stale:
-                stats.stale_serves += 1
-        return (True, expired)
+        return (True, served[1])
+
+    def mark_used(self, key: CacheKey) -> None:
+        """Mark *key*'s entry used, so its next hit is not a first use.
+
+        The device calls this when it consumes an answer it just
+        fetched. Like :meth:`peek`, it applies no expiry notion and
+        touches neither the counters nor the LRU order.
+        """
+        entry = self._entries.get(key)
+        if entry is not None:
+            entry.used = True
 
     def peek(self, key: CacheKey) -> CacheEntry | None:
         """Return the entry for *key* without touching usage accounting.
@@ -486,62 +418,3 @@ class DnsCache:
         stored deadlines themselves).
         """
         return self._entries.get(key)
-
-    def refresh(
-        self,
-        key: CacheKey,
-        records: tuple[ResourceRecord, ...],
-        now: float,
-        ttl: float | None = None,  # repro-lint: disable=UNIT001 RFC 1035 parameter name; DNS TTLs are seconds by definition and every DNS library spells it 'ttl'
-    ) -> CacheEntry:
-        """Replace an entry in place, preserving its usage counters.
-
-        Used by the §8 refresh-on-expiry simulator: a refreshed entry is
-        not a "new" name, so first-use accounting must survive.
-        """
-        previous = self._entries.get(key)
-        entry = self.put(key, records, now, ttl=ttl)
-        if previous is not None:
-            entry.uses = previous.uses
-            entry.last_used = previous.last_used
-        self.stats.refreshes += 1
-        # put() counted an insertion; a refresh should not.
-        self.stats.insertions -= 1
-        return entry
-
-    def purge_expired(self, now: float) -> int:
-        """Drop every entry that a lookup at *now* would no longer serve.
-
-        Compares *now* with each entry's stored ``dead_at`` (the
-        overstay- and, for serve-stale caches, stale-extended deadline),
-        the same number :meth:`get` compares with — an entry exactly at
-        the boundary is purged here *and* would have been a miss on the
-        next :meth:`get`, never one without the other.
-        """
-        entries = self._entries
-        doomed = [entry for entry in entries.values() if now >= entry.dead_at]
-        stats = self.stats
-        for entry in doomed:
-            if entry.stale_budget > 0.0:
-                stats.stale_expirations += 1
-            del entries[entry.key]
-        return len(doomed)
-
-    def expiring_before(self, deadline: float, nominal: bool = False) -> list[CacheEntry]:
-        """Entries a lookup at *deadline* would no longer serve.
-
-        By default this compares with the same stored ``dead_at`` as
-        :meth:`get` and :meth:`purge_expired` (an entry is included once
-        ``dead_at <= deadline``), so refresh-on-expiry simulations never
-        treat a still-servable entry as gone. Pass ``nominal=True`` for
-        the raw-TTL notion (``expires_at < deadline``, ignoring overstay
-        and staleness), which is what refresh schedulers planning *ahead
-        of* expiry want.
-        """
-        if nominal:
-            return [entry for entry in self._entries.values() if entry.expires_at < deadline]
-        return [entry for entry in self._entries.values() if entry.dead_at <= deadline]
-
-    def clear(self) -> None:
-        """Drop all entries (stats are preserved)."""
-        self._entries.clear()

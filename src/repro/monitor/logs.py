@@ -231,6 +231,19 @@ def _before_header(line: str) -> NoReturn:
     raise LogFormatError("data before #fields header")
 
 
+def _misspelled(text: str) -> bool:
+    """True when the number *text* holds a character Zeek never writes
+    in one: not ASCII, a control character, a blank, ``_`` or ``+``.
+    Python's ``int()`` reads ``4_43``, ``+443``, `` 443`` and ``٤٤٣``
+    alike as 443. A leading ``-`` stays legal."""
+    return not (text.isascii() and text.isprintable()) or " " in text or "_" in text or "+" in text
+
+
+def _malformed_number(*fields: str) -> LogFormatError:
+    """The error naming the first misspelled of a row's number *fields*."""
+    return LogFormatError(f"malformed number {next(filter(_misspelled, fields))!r}")
+
+
 def _compile_row(kind: str, header: str) -> Callable[[str], DnsRecord | ConnRecord]:
     """Compile a ``#fields`` *header* line into the TSV row parser for *kind*.
 
@@ -238,9 +251,13 @@ def _compile_row(kind: str, header: str) -> Callable[[str], DnsRecord | ConnReco
     :func:`operator.itemgetter` gather of the columns the record needs.
     A row narrower than the widest of them, and any row under a header
     that lacks one, names the first missing column in :data:`_COLUMNS`
-    order before any value is read. Strings that repeat from row to row
-    are shared through :func:`sys.intern`, as the RBLG decoder shares
-    them through its block dictionary; the unique uid is not.
+    order before any value is read. The row's number fields are then
+    joined and tested once for a spelling Zeek never writes
+    (:func:`_misspelled`, inline); only a row that fails has its fields
+    looked at one by one, to name the culprit. Strings that repeat from
+    row to row are shared through :func:`sys.intern`, as the RBLG
+    decoder shares them through its block dictionary; the unique uid is
+    not.
     """
     fields = {name: index for index, name in enumerate(header.split(_SEPARATOR)[1:])}
     needed = [name for name in _COLUMNS[kind] if name != "answer_types" or name in fields]
@@ -260,6 +277,10 @@ def _compile_row(kind: str, header: str) -> Callable[[str], DnsRecord | ConnReco
             raise missing(columns)
         (data, ttls, rtt_text, ts, uid, orig_h, orig_p, resp_h, resp_p, proto, query, qtype,
          rcode) = gather(columns)
+        numbers = "".join((ts, rtt_text, ttls, orig_p, resp_p))
+        if (not (numbers.isascii() and numbers.isprintable()) or " " in numbers
+                or "_" in numbers or "+" in numbers):
+            raise _malformed_number(ts, rtt_text, *_vector(ttls), orig_p, resp_p)
         answers = build_answers(
             _vector(data), _vector(ttls), [] if types_at is None else _vector(columns[types_at])
         )
@@ -285,6 +306,10 @@ def _compile_row(kind: str, header: str) -> Callable[[str], DnsRecord | ConnReco
             raise missing(columns)
         (duration_text, orig_bytes, resp_bytes, ts, uid, orig_h, orig_p, resp_h, resp_p,
          proto, service, conn_state) = gather(columns)
+        numbers = "".join((ts, duration_text, orig_bytes, resp_bytes, orig_p, resp_p))
+        if (not (numbers.isascii() and numbers.isprintable()) or " " in numbers
+                or "_" in numbers or "+" in numbers):
+            raise _malformed_number(ts, duration_text, orig_bytes, resp_bytes, orig_p, resp_p)
         # Zeek leaves duration and the byte counts unset on one-packet
         # connections.
         duration = 0.0 if duration_text == _UNSET else float(duration_text)

@@ -11,7 +11,6 @@ from repro.core.parallel import PressureStats
 from repro.core.performance import SignificanceQuadrant
 from repro.core.resolvers import ResolverUsageRow
 from repro.core.streaming import PipelineResult, StreamingSummary
-from repro.monitor.logs import IngestReport
 
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -186,17 +185,13 @@ def render_pipeline_report(result: "PipelineResult") -> str:
     return "\n".join(lines)
 
 
-def render_streaming_summary(
-    summary: "StreamingSummary", ingest: "tuple[IngestReport, ...] | None" = None
-) -> str:
+def render_streaming_summary(summary: "StreamingSummary") -> str:
     """Text report of a sketch-mode streaming run.
 
     Counts are exact; distribution numbers come from the quantile
     sketches and are annotated with the certified worst-case rank-error
     bound. Dict-backed sections sort their keys (see
-    :func:`render_pipeline_report`). *ingest* reports from a lenient
-    streaming read are surfaced as a quarantine section, so discarded
-    lines stay visible even when the record lists never materialize."""
+    :func:`render_pipeline_report`)."""
     lines = [
         "Streaming summary (one pass, sketched statistics):",
         f"  window: {'unbounded' if summary.window_s is None else f'{summary.window_s:.0f} s'}, "
@@ -239,8 +234,4 @@ def render_streaming_summary(
     failures = render_failure_rates(summary.failure_stats)
     if failures:
         lines += ["", failures]
-    if ingest:
-        lines.append("")
-        lines.append("Lenient ingest quarantine:")
-        lines.extend(f"  {report.summary()}" for report in ingest)
     return "\n".join(lines)

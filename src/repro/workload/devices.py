@@ -87,8 +87,6 @@ class Device:
         # When True the device resolves over DNS-over-TLS: its lookups
         # are invisible to the passive monitor (the §3 what-if).
         self.encrypted_dns = False
-        self.lookups_performed = 0
-        self.connections_opened = 0
 
     def __repr__(self) -> str:
         return f"Device({self.name!r}, kind={self.kind!r})"
@@ -104,7 +102,6 @@ class Device:
         # materialized in the rare hard-failure case that needs it.
         stale_entry = self.stub.cache.peek(cache_key(hostname))
         lookup = self.stub.lookup(hostname, now, rng=self.rng)
-        self.lookups_performed += 1
         if lookup.network_transaction:
             resolution = self._record_wire_lookup(hostname, now, lookup)
             if resolution.hard_failure:
@@ -274,7 +271,7 @@ class Device:
             # The fresh lookup is being consumed right now: mark its cache
             # entry used, so the *next* cache hit counts as re-use (LC
             # truth) rather than first use of a speculative lookup (P).
-            self._mark_entry_used(resolution.hostname, resolution.completed_at)
+            self.stub.cache.mark_used(cache_key(resolution.hostname))
         last_end = resolution.completed_at
         # OS/application processing between the DNS answer landing and the
         # SYN leaving: a few milliseconds, occasionally tens (this is the
@@ -344,7 +341,6 @@ class Device:
             "SF",
             truth,
         )
-        self.connections_opened += 1
         return start + duration
 
     def _transfer_duration(self, host: HostProfile, platform: str | None, size: float) -> float:
@@ -372,13 +368,6 @@ class Device:
         pacing_median = 45.0 + 425.0 * min(1.0, size / 2e5)
         pacing = self.rng.lognormvariate(_ln(pacing_median), 1.2)
         return rtt_floor + pacing * size / max(1e4, throughput)
-
-    def _mark_entry_used(self, hostname: str, now: float) -> None:
-        """Record one use of the local cache entry for *hostname*."""
-        entry = self.stub.cache.peek(cache_key(hostname))
-        if entry is not None:
-            entry.uses += 1
-            entry.last_used = now
 
     def followup_connections(
         self,
@@ -440,7 +429,6 @@ class Device:
             conn_state=conn_state,
             truth=truth,
         )
-        self.connections_opened += 1
 
 
 #: Memo for :func:`_ln`: the arguments are host-profile byte medians

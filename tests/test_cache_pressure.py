@@ -1,8 +1,8 @@
 """Resolver-cache realism under pressure.
 
 Covers the pluggable eviction policies (LRU / ttl-aware / RFC 8767
-serve-stale), the uniform expiry-boundary convention across every cache
-accessor, connection/fd budgets with queue-then-shed degradation, the
+serve-stale), the expiry boundary every lookup reads from the stored
+deadlines, connection/fd budgets with queue-then-shed degradation, the
 REFUSED → immediate-failover path in the stub, and the pressure
 configuration/statistics plumbing through scenario generation.
 """
@@ -38,62 +38,33 @@ KEY = cache_key("www.example.com")
 
 
 class TestExpiryBoundary:
-    """Satellites 1 and 3: one boundary convention across all accessors."""
+    """Every lookup compares ``now`` with the deadlines ``put`` stored."""
 
     def test_purge_and_get_agree_exactly_at_boundary(self):
         # Entry servable until exactly 70.0 (ttl 60 + overstay 10): at
-        # the boundary instant it must be purged AND be a lookup miss.
-        purged = DnsCache(overstay=10.0)
-        purged.put(KEY, records_for("www.example.com"), now=0.0)
-        assert purged.purge_expired(70.0) == 1
-
-        probed = DnsCache(overstay=10.0)
-        probed.put(KEY, records_for("www.example.com"), now=0.0)
-        assert not probed.get(KEY, now=70.0).hit
+        # the boundary instant a lookup misses AND purges the entry.
+        cache = DnsCache(overstay=10.0)
+        cache.put(KEY, records_for("www.example.com"), now=0.0)
+        assert not cache.get(KEY, now=70.0).hit
+        assert KEY not in cache
 
     def test_purge_keeps_entries_a_lookup_would_serve(self):
         cache = DnsCache(overstay=10.0)
         cache.put(KEY, records_for("www.example.com"), now=0.0)
-        assert cache.purge_expired(69.5) == 0
         assert cache.get(KEY, now=69.5).hit
+        assert KEY in cache
 
-    def test_purge_counts_stale_window_expirations(self):
-        cache = DnsCache(policy="serve-stale", stale_ttl_s=100.0)
-        cache.put(KEY, records_for("www.example.com"), now=0.0)
-        # Still inside the staleness window: kept.
-        assert cache.purge_expired(100.0) == 0
-        assert cache.purge_expired(160.0) == 1
-        assert cache.stats.stale_expirations == 1
-
-    @pytest.mark.parametrize("accessor", ["purge_expired", "expiring_before"])
-    def test_accessor_and_get_share_one_float_deadline(self, accessor):
-        # In floats (0.1 + 0.2) + 0.3 > 0.6 == 0.1 + (0.2 + 0.3): at 0.6
-        # the lookup path still serves the entry stale, so neither
-        # accessor may report it gone; one ulp later all three agree.
+    def test_lookup_reads_the_stored_float_deadline(self):
+        # In floats (0.1 + 0.2) + 0.3 > 0.6 == 0.1 + (0.2 + 0.3): put
+        # stores the deadline associated left to right, so at 0.6 the
+        # entry is still served stale, and one ulp later it is gone.
         def cache():
             fresh = DnsCache(policy="serve-stale", overstay=0.2, stale_ttl_s=0.3)
-            fresh.put(KEY, records_for("www.example.com"), now=0.0, ttl=0.1)
+            fresh.put(KEY, records_for("www.example.com", ttl=0), now=0.1)
             return fresh
 
-        assert not getattr(cache(), accessor)(0.6)
         assert cache().get(KEY, now=0.6).stale
-        later = math.nextafter(0.6, 1.0)
-        assert getattr(cache(), accessor)(later)
-        assert not cache().get(KEY, now=later).hit
-
-    def test_expiring_before_honours_servable_window(self):
-        cache = DnsCache(overstay=10.0)
-        cache.put(KEY, records_for("www.example.com"), now=0.0)
-        # Nominal expiry 60, servable until 70: the default notion must
-        # not report a still-servable entry as expiring.
-        assert cache.expiring_before(65.0) == []
-        assert len(cache.expiring_before(70.0)) == 1
-
-    def test_expiring_before_nominal_ignores_windows(self):
-        cache = DnsCache(overstay=10.0)
-        cache.put(KEY, records_for("www.example.com"), now=0.0)
-        assert len(cache.expiring_before(65.0, nominal=True)) == 1
-        assert cache.expiring_before(60.0, nominal=True) == []
+        assert not cache().get(KEY, now=math.nextafter(0.6, 1.0)).hit
 
 
 class TestServeStale:

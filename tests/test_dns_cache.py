@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dns.cache import CacheLookup, DnsCache, cache_key
+from repro.dns.cache import CacheLookup, CacheStats, DnsCache, cache_key
 from repro.dns.rr import RRType, a_record
 from repro.errors import DnsError
 
@@ -44,11 +44,6 @@ class TestBasics:
         cache.put(cache_key("WWW.Example.COM"), records_for("www.example.com"), now=0.0)
         assert cache.get(cache_key("www.example.com"), now=1.0).hit
 
-    def test_ttl_override(self):
-        cache = DnsCache()
-        cache.put(KEY, records_for("www.example.com", ttl=60), now=0.0, ttl=600.0)
-        assert cache.get(KEY, now=300.0).hit
-
     def test_empty_rrset_rejected(self):
         cache = DnsCache()
         with pytest.raises(DnsError):
@@ -75,19 +70,21 @@ class TestFirstUse:
         assert cache.get(KEY, now=1.0).first_use
         assert not cache.get(KEY, now=2.0).first_use
 
-    def test_refresh_preserves_usage(self):
-        cache = DnsCache()
-        cache.put(KEY, records_for("www.example.com", ttl=5), now=0.0)
-        cache.get(KEY, now=1.0)
-        cache.refresh(KEY, records_for("www.example.com", ttl=5), now=5.0)
-        assert not cache.get(KEY, now=6.0).first_use
-
     def test_put_resets_usage(self):
         cache = DnsCache()
         cache.put(KEY, records_for("www.example.com"), now=0.0)
         cache.get(KEY, now=1.0)
         cache.put(KEY, records_for("www.example.com"), now=2.0)
         assert cache.get(KEY, now=3.0).first_use
+
+    def test_mark_used_makes_the_next_hit_a_reuse(self):
+        cache = DnsCache()
+        cache.put(KEY, records_for("www.example.com"), now=0.0)
+        cache.mark_used(KEY)
+        cache.mark_used(cache_key("missing.example.com"))
+        assert cache.stats == CacheStats()
+        lookup = cache.get(KEY, now=1.0)
+        assert lookup.hit and not lookup.first_use
 
 
 class TestOverstay:
@@ -136,26 +133,13 @@ class TestEviction:
             DnsCache(capacity=0)
 
     def test_purge_expired(self):
+        # A lookup purges the dead entry it misses and no other.
         cache = DnsCache()
         cache.put(cache_key("a.com"), records_for("a.com", ttl=10), now=0.0)
         cache.put(cache_key("b.com"), records_for("b.com", ttl=1000), now=0.0)
-        assert cache.purge_expired(now=100.0) == 1
+        assert not cache.get(cache_key("a.com"), now=100.0).hit
         assert len(cache) == 1
-
-    def test_expiring_before(self):
-        cache = DnsCache()
-        cache.put(cache_key("a.com"), records_for("a.com", ttl=10), now=0.0)
-        cache.put(cache_key("b.com"), records_for("b.com", ttl=1000), now=0.0)
-        soon = cache.expiring_before(100.0)
-        assert [entry.key for entry in soon] == [cache_key("a.com")]
-
-    def test_clear_keeps_stats(self):
-        cache = DnsCache()
-        cache.put(KEY, records_for("www.example.com"), now=0.0)
-        cache.get(KEY, now=1.0)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats.hits == 1
+        assert cache.get(cache_key("b.com"), now=100.0).hit
 
 
 class TestStats:
@@ -168,19 +152,6 @@ class TestStats:
 
     def test_hit_rate_empty(self):
         assert DnsCache().stats.hit_rate == 0.0
-
-    def test_ttl_clamping(self):
-        cache = DnsCache(min_ttl_s=30.0, max_ttl_s=300.0)
-        entry_low = cache.put(cache_key("low.com"), records_for("low.com", ttl=1), now=0.0)
-        entry_high = cache.put(cache_key("high.com"), records_for("high.com", ttl=86400), now=0.0)
-        assert entry_low.ttl == 30.0
-        assert entry_high.ttl == 300.0
-
-    def test_invalid_ttl_bounds(self):
-        with pytest.raises(DnsError):
-            DnsCache(min_ttl_s=100.0, max_ttl_s=10.0)
-        with pytest.raises(DnsError):
-            DnsCache(min_ttl_s=-1.0)
 
 
 @given(

@@ -218,3 +218,74 @@ def test_convert_names_the_out_of_range_line(tmp_path, capsys):
     assert main(["convert", "--lenient", source, target]) == 0
     assert "line 10: port out of u16 range: 70000" in capsys.readouterr().err
     assert read_conn_binlog(open(target, "rb").read()) == records[:6] + records[7:]
+
+
+# (kind, column, spelling): Python's int() and float() read each of
+# these as a number, and Zeek never writes any of them.
+MISSPELLED = {
+    "dns resp_p 4_43": ("dns", "id.resp_p", "4_43"),
+    "dns resp_p +443": ("dns", "id.resp_p", "+443"),
+    "dns resp_p blank": ("dns", "id.resp_p", " 443"),
+    "dns resp_p arabic-indic": ("dns", "id.resp_p", "٤٤٣"),
+    "dns ts 1_51.5": ("dns", "ts", "1_51.5"),
+    "dns ts vertical tab": ("dns", "ts", "\x0b151.5"),
+    "dns rtt +0.02": ("dns", "rtt", "+0.02"),
+    "dns TTL 3_00": ("dns", "TTLs", "3_00.000000"),
+    "conn resp_p 4_43": ("conn", "id.resp_p", "4_43"),
+    "conn resp_p +443": ("conn", "id.resp_p", "+443"),
+    "conn resp_p blank": ("conn", "id.resp_p", " 443"),
+    "conn resp_p arabic-indic": ("conn", "id.resp_p", "٤٤٣"),
+    "conn ts 1_51.5": ("conn", "ts", "1_51.5"),
+    "conn ts vertical tab": ("conn", "ts", "\x0b151.5"),
+    "conn duration 1_0.5": ("conn", "duration", "1_0.5"),
+    "conn orig_bytes 1_000": ("conn", "orig_bytes", "1_000"),
+}
+
+
+def _tsv_with(kind: str, values: dict[str, str]) -> tuple[list, io.StringIO]:
+    """Three records as a TSV log whose second row (line 5) has *values*
+    written into its columns."""
+    make = _dns if kind == "dns" else _conn
+    records = [make(0), make(1), make(2)]
+    buffer = io.StringIO()
+    WRITERS["tsv", kind](buffer, records)
+    lines = buffer.getvalue().split("\n")
+    fields = lines[2].split("\t")[1:]
+    columns = lines[4].split("\t")
+    for name, value in values.items():
+        columns[fields.index(name)] = value
+    lines[4] = "\t".join(columns)
+    return records, io.StringIO("\n".join(lines))
+
+
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+@pytest.mark.parametrize("case", sorted(MISSPELLED))
+def test_a_number_zeek_never_writes_is_a_malformed_line(case, lenient):
+    kind, column, spelling = MISSPELLED[case]
+    records, lines = _tsv_with(kind, {column: spelling})
+    reason = f"malformed number {spelling!r}"
+    if not lenient:
+        with pytest.raises(LogFormatError, match=rf"^line 5: {re.escape(reason)}$"):
+            list(parse_lines(lines, kind))
+        return
+    report = IngestReport(kind)
+    assert list(parse_lines(lines, kind, report)) == [records[0], records[2]]
+    assert [(line.line_number, line.reason) for line in report.quarantined] == [(5, reason)]
+
+
+def test_zeek_spellings_at_the_boundaries_still_read():
+    # A warm-up row's negative ts, the port and byte-count bounds, and
+    # Zeek's unset and (empty) markers.
+    _, lines = _tsv_with("conn", {
+        "ts": "-3.500000", "id.orig_p": "0", "id.resp_p": "65535", "duration": "-",
+        "orig_bytes": "18446744073709551615", "resp_bytes": "-",
+    })
+    conn = list(parse_lines(lines, "conn"))[1]
+    assert (conn.ts, conn.orig_p, conn.resp_p, conn.duration) == (-3.5, 0, 65535, 0.0)
+    assert (conn.orig_bytes, conn.resp_bytes) == (2**64 - 1, 0)
+    _, lines = _tsv_with("dns", {
+        "ts": "-0.000001", "rtt": "-", "answers": "(empty)", "TTLs": "(empty)",
+        "answer_types": "(empty)",
+    })
+    dns = list(parse_lines(lines, "dns"))[1]
+    assert (dns.ts, dns.rtt, dns.answers) == (-0.000001, 0.0, ())

@@ -177,6 +177,8 @@ class CacheModel(RuleBasedStateMachine):
         #: Per policy: key -> (expires_at, servable_until, dead_at), least
         #: recent first.
         self.references = {policy: {} for policy in EVICTION_POLICIES}
+        #: Per policy: the keys whose entry was used since it was stored.
+        self.used = {policy: set() for policy in EVICTION_POLICIES}
         self.expected = {policy: CacheStats() for policy in EVICTION_POLICIES}
         self.clock = 0.0
 
@@ -201,8 +203,8 @@ class CacheModel(RuleBasedStateMachine):
         if self._budget(policy, key) > 0.0:
             self.expected[policy].stale_expirations += 1
 
-    def _lookup(self, policy, key) -> tuple[bool, bool, bool]:
-        """The reference's ``(hit, expired, stale)`` for a lookup now."""
+    def _lookup(self, policy, key) -> tuple[bool, bool, bool, bool]:
+        """The reference's ``(hit, expired, stale, first_use)`` for a lookup now."""
         order = self.references[policy]
         expected = self.expected[policy]
         deadlines = order.get(key)
@@ -211,7 +213,7 @@ class CacheModel(RuleBasedStateMachine):
             deadlines = None
         if deadlines is None:
             expected.misses += 1
-            return (False, False, False)
+            return (False, False, False, False)
         order[key] = order.pop(key)  # now the most recently used
         expires_at, servable_until, _ = deadlines
         expired = self.clock >= expires_at
@@ -219,15 +221,9 @@ class CacheModel(RuleBasedStateMachine):
         expected.hits += 1
         expected.expired_hits += expired
         expected.stale_serves += stale
-        return (True, expired, stale)
-
-    def _purge(self, policy) -> int:
-        """The reference's count of entries a purge now drops."""
-        order = self.references[policy]
-        dead = [key for key, (_, _, dead_at) in order.items() if self.clock >= dead_at]
-        for key in dead:
-            self._drop_dead(policy, key)
-        return len(dead)
+        first_use = key not in self.used[policy]
+        self.used[policy].add(key)
+        return (True, expired, stale, first_use)
 
     @rule(which=st.integers(0, len(CACHE_KEYS) - 1), ttl=st.integers(1, 100), advance=st.floats(0, 50))
     def put(self, which, ttl, advance):
@@ -240,35 +236,37 @@ class CacheModel(RuleBasedStateMachine):
             cache.put(key, rrset, self.clock)
             order = self.references[policy]
             order.pop(key, None)
+            self.used[policy].discard(key)
             order[key] = (
                 expires_at,
                 servable_until,
                 servable_until + self._budget(policy, key),
             )
-            self.expected[policy].insertions += 1
             while len(order) > CACHE_CAPACITY:
                 del order[self._victim(policy)]
                 self.expected[policy].evictions += 1
 
-    # One rule for all three accessors: a separate purge rule would run
-    # as often as puts and clear the dead entries before an eviction
-    # could choose among several of them.
+    # One rule for every use of an entry: the two views of the lookup
+    # step, and mark_used, which sets the first-use flag alone.
     @rule(
         which=st.integers(0, len(CACHE_KEYS) - 1),
         advance=st.floats(0, 50),
-        accessor=st.sampled_from(("get", "probe", "purge_expired")),
+        accessor=st.sampled_from(("get", "probe", "mark_used")),
     )
     def observe(self, which, advance, accessor):
         self.clock += advance
         key = CACHE_KEYS[which]
         for policy, cache in self.caches.items():
-            if accessor == "purge_expired":
-                assert cache.purge_expired(self.clock) == self._purge(policy)
+            if accessor == "mark_used":
+                cache.mark_used(key)
+                if key in self.references[policy]:
+                    self.used[policy].add(key)
             elif accessor == "probe":
                 assert cache.probe(key, self.clock) == self._lookup(policy, key)[:2]
             else:
                 found = cache.get(key, self.clock)
-                assert (found.hit, found.expired, found.stale) == self._lookup(policy, key)
+                looked_up = (found.hit, found.expired, found.stale, found.first_use)
+                assert looked_up == self._lookup(policy, key)
 
     @invariant()
     def lru_order_matches(self):

@@ -262,7 +262,7 @@ def test_strict_read_names_the_line_with_bad_bytes(logs, tmp_path, fmt, mode):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("mode", ["lenient", "exact-lenient"])
+@pytest.mark.parametrize("mode", ["lenient", "streaming-lenient", "exact-lenient"])
 def test_lenient_read_quarantines_the_line_with_bad_bytes(logs, tmp_path, mode):
     dns_path, conn_path = logs["tsv"]
     bad = _with_bad_bytes(conn_path, str(tmp_path / "bad.log"))
