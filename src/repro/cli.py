@@ -28,6 +28,7 @@ Also runnable as ``python -m repro``.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -119,6 +120,17 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse type of a time span: a finite number of seconds above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -607,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--idle-timeout-s",
-        type=float,
+        type=_positive_seconds,
         default=None,
         help="with --follow: stop once no new data arrives for this many "
         "seconds (default: follow until interrupted)",

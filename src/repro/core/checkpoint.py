@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import pickle
 from array import array
@@ -253,9 +254,9 @@ class CheckpointConfig:
     interval_s: float = DEFAULT_CHECKPOINT_INTERVAL_S
 
     def __post_init__(self) -> None:
-        if self.interval_s <= 0:
+        if not 0 < self.interval_s < math.inf:
             raise CheckpointError(
-                f"checkpoint interval must be positive, got {self.interval_s}"
+                f"checkpoint interval must be positive and finite, got {self.interval_s}"
             )
 
 

@@ -110,8 +110,8 @@ class StreamingConfig:
     window_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.window_s is not None and self.window_s <= 0:
-            raise AnalysisError(f"window must be positive, got {self.window_s}")
+        if self.window_s is not None and not 0 < self.window_s < math.inf:
+            raise AnalysisError(f"window must be positive and finite, got {self.window_s}")
         blocking_threshold = self.options.classifier.blocking_threshold
         if blocking_threshold <= 0:
             raise AnalysisError(
@@ -386,8 +386,8 @@ def reorder_records(
     merge contract. Ties preserve arrival order. ``window_s=0`` is a
     pass-through that merely verifies ordering.
     """
-    if window_s < 0:
-        raise AnalysisError(f"reorder window must be nonnegative, got {window_s}")
+    if not 0 <= window_s < math.inf:
+        raise AnalysisError(f"reorder window must be finite and nonnegative, got {window_s}")
     heap: list[tuple[float, int, DnsRecord | ConnRecord]] = []
     seq = 0
     max_ts_s = -math.inf

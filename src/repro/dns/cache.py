@@ -48,17 +48,25 @@ aged RRset and a :class:`CacheLookup`; ``probe`` returns ``(hit,
 expired)`` and builds neither. Eviction compares with the same stored
 numbers.
 
-The serve-stale victim search walks the entries in LRU order and
-compares ``now`` with two stored floats per entry, stopping at the
-first dead one: O(capacity) per eviction in the worst case, with no
-per-entry lookups besides the walk itself.
+**Eviction bounds.** A serve-stale cache keeps two lower bounds beside
+its entries: their earliest ``servable_until`` and earliest
+``dead_at``. Every ``put`` lowers them; removing an entry can only
+raise the true minimum, so they stay lower bounds whatever order the
+puts' times arrive in. At a ``now`` below the dead bound no entry is
+dead, and the walk for one is skipped; below the stale bound too, the
+LRU head is the victim at once. Otherwise the walk runs in LRU order
+as it always did and stops at the first match, so the victim is the
+one a full walk would pick. A walk that finds no match has found its
+bound loose, and resets it to the exact minimum in one C-level pass.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from operator import attrgetter
+from typing import Callable, Iterator, NamedTuple
 
 from repro.dns.name import DomainName
 from repro.dns.rr import ResourceRecord, RRType
@@ -155,8 +163,7 @@ class CacheEntry:
         return aged
 
 
-@dataclass(frozen=True, slots=True)
-class CacheLookup:
+class CacheLookup(NamedTuple):
     """Outcome of a cache lookup.
 
     ``first_use`` is True when the hit is the entry's first use.
@@ -177,8 +184,11 @@ class CacheLookup:
         return tuple([rr.address for rr in self.records if rr.is_address()])
 
 
-#: Shared miss result: frozen, so every miss can return the same object.
+#: Shared miss result: immutable, so every miss can return the same object.
 _MISS = CacheLookup(hit=False)
+
+_SERVABLE_UNTIL = attrgetter("servable_until")
+_DEAD_AT = attrgetter("dead_at")
 
 
 @dataclass(slots=True)
@@ -259,6 +269,10 @@ class DnsCache:
             stale_ttl_s = RFC8767_DEFAULT_STALE_TTL_S
         self._stale_ttl_s = stale_ttl_s
         self._entries: OrderedDict[CacheKey, CacheEntry] = OrderedDict()
+        # Serve-stale only: lower bounds of the entries' servable_until
+        # and dead_at (see "Eviction bounds" in the module docstring).
+        self._servable_floor_s = math.inf
+        self._dead_floor_s = math.inf
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -302,17 +316,33 @@ class DnsCache:
             victim = min(entries.values(), key=lambda e: e.expires_at).key
             del entries[victim]
         else:
+            del entries[self._stale_victim(now)]
+        self.stats.evictions += 1
+
+    def _stale_victim(self, now: float) -> CacheKey:
+        """The serve-stale victim at *now*, with walks the bounds rule out skipped.
+
+        A walk runs only when *now* has reached its bound, and stops at
+        the first match in LRU order. A walk that finds none has found
+        its bound loose, and resets it to the exact minimum.
+        """
+        entries = self._entries
+        if now >= self._dead_floor_s:
             stale_fallback = None
             for entry in entries.values():  # LRU order, least recent first
                 if now >= entry.dead_at:
-                    victim = entry.key
-                    break
+                    return entry.key
                 if stale_fallback is None and now >= entry.servable_until:
                     stale_fallback = entry.key
-            else:
-                victim = stale_fallback if stale_fallback is not None else next(iter(entries))
-            del entries[victim]
-        self.stats.evictions += 1
+            self._dead_floor_s = min(map(_DEAD_AT, entries.values()))
+            if stale_fallback is not None:
+                return stale_fallback
+        if now >= self._servable_floor_s:
+            for entry in entries.values():
+                if now >= entry.servable_until:
+                    return entry.key
+            self._servable_floor_s = min(map(_SERVABLE_UNTIL, entries.values()))
+        return next(iter(entries))
 
     def put(self, key: CacheKey, records: tuple[ResourceRecord, ...], now: float) -> CacheEntry:
         """Store *records* under *key* at time *now*, for their minimum TTL.
@@ -329,10 +359,16 @@ class DnsCache:
         else:
             expires_at = now + float(min(rr.ttl for rr in records))
         servable_until = expires_at + self._overstay_for(key)
-        stale_budget = self._stale_for(key) if self._serves_stale else 0.0
-        entry = CacheEntry(
-            key, records, expires_at, servable_until, stale_budget, servable_until + stale_budget
-        )
+        if self._serves_stale:
+            stale_budget = self._stale_for(key)
+            dead_at = servable_until + stale_budget
+            if servable_until < self._servable_floor_s:
+                self._servable_floor_s = servable_until
+            if dead_at < self._dead_floor_s:
+                self._dead_floor_s = dead_at
+        else:
+            stale_budget, dead_at = 0.0, servable_until
+        entry = CacheEntry(key, records, expires_at, servable_until, stale_budget, dead_at)
         entries = self._entries
         if key in entries:
             del entries[key]

@@ -18,10 +18,10 @@ TTL violations §5.2 measures.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.dns.cache import CacheKey, CacheLookup, DnsCache, cache_key
 from repro.dns.message import Question, Rcode
@@ -75,8 +75,7 @@ class ResolverProfile:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class ResolutionOutcome:
+class ResolutionOutcome(NamedTuple):
     """What one query to a recursive resolver produced.
 
     ``timed_out`` marks a query that never got a response (the monitor
@@ -86,6 +85,11 @@ class ResolutionOutcome:
     whose connection/fd budget was full (logged as REFUSED, and fed to
     the stub's failover machinery like any other hard failure). NXDOMAIN
     remains a *successful* transaction carrying a negative answer.
+
+    This and :class:`StubLookup` are :class:`~typing.NamedTuple`
+    subclasses, like the log records: one of each is built per lookup,
+    and a tuple is built in one C call where a frozen dataclass pays one
+    ``object.__setattr__`` per field.
     """
 
     qname: DomainName
@@ -209,7 +213,7 @@ class RecursiveResolver:
         outcome = self._dispatch(name, qtype, start_s, rng)
         budget.occupy(start_s, start_s + outcome.duration_s)
         if wait_s > 0.0:
-            outcome = dataclasses.replace(outcome, duration_s=outcome.duration_s + wait_s)
+            outcome = outcome._replace(duration_s=outcome.duration_s + wait_s)
         return outcome
 
     def _dispatch(
@@ -287,9 +291,7 @@ class RecursiveResolver:
             self.profile.client_latency_model.sample(rng)
             + self._faults.config.tcp_fallback_penalty_s
         )
-        return dataclasses.replace(
-            outcome, duration_s=outcome.duration_s + penalty, truncated=True
-        )
+        return outcome._replace(duration_s=outcome.duration_s + penalty, truncated=True)
 
     def _resolve_clean(
         self,
@@ -485,8 +487,7 @@ class RecursiveResolver:
         return answer_records, auth_queries, nxdomain
 
 
-@dataclass(frozen=True, slots=True)
-class StubLookup:
+class StubLookup(NamedTuple):
     """What a device-side name lookup produced.
 
     ``network_transaction`` is True when the lookup went out on the wire

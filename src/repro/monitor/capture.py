@@ -148,10 +148,10 @@ class MonitorCapture:
         self._warmup_s = warmup_s
         # Plain counters (formatted on use) rather than generator uid
         # streams: next()-ing a generator is measurable at week scale.
-        self._dns_uid_count = 0
-        self._conn_uid_count = 0
-        self._dns_uid_head = "D" + uid_namespace
-        self._conn_uid_head = "C" + uid_namespace
+        self._dns_count = 0
+        self._conn_count = 0
+        self._dns_prefix = "D" + uid_namespace
+        self._conn_prefix = "C" + uid_namespace
         self._append_dns = self.trace.dns.append
         self._append_conn = self.trace.conns.append
 
@@ -168,12 +168,12 @@ class MonitorCapture:
         rcode: str = "NOERROR",
     ) -> DnsRecord:
         """Record one wire-visible DNS transaction; returns the record."""
-        self._dns_uid_count += 1
+        self._dns_count += 1
         # Positional construction (field order per records.py): these two
         # record factories run once per wire event, week-scale millions.
         record = DnsRecord(
             ts - self._warmup_s,
-            f"{self._dns_uid_head}{self._dns_uid_count:08x}",
+            f"{self._dns_prefix}{self._dns_count:08x}",
             orig_h,
             orig_p,
             resp_h,
@@ -208,12 +208,12 @@ class MonitorCapture:
         When *truth* is given it is keyed under the freshly assigned uid.
         A connection from the warm-up returns None.
         """
-        self._conn_uid_count += 1
+        self._conn_count += 1
         if ts < self._warmup_s:
             return None
         record = ConnRecord(
             ts - self._warmup_s,
-            f"{self._conn_uid_head}{self._conn_uid_count:08x}",
+            f"{self._conn_prefix}{self._conn_count:08x}",
             orig_h,
             orig_p,
             resp_h,
@@ -227,14 +227,7 @@ class MonitorCapture:
         )
         self._append_conn(record)
         if truth is not None:
-            self.trace.truth[record.uid] = GroundTruth(
-                record.uid,
-                truth.truth_class,
-                truth.hostname,
-                truth.dns_uid,
-                truth.used_expired_record,
-                truth.resolver_platform,
-            )
+            self.trace.truth[record.uid] = truth
         return record
 
     def finish(self, duration: float, houses: int) -> Trace:

@@ -15,6 +15,7 @@ all go through it.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -503,8 +504,8 @@ def tail_lines(
     """
     if poll_interval_s <= 0.0:
         raise ValueError(f"poll_interval_s must be positive, got {poll_interval_s}")
-    if idle_timeout_s is not None and idle_timeout_s <= 0.0:
-        raise ValueError(f"idle_timeout_s must be positive, got {idle_timeout_s}")
+    if idle_timeout_s is not None and not 0.0 < idle_timeout_s < math.inf:
+        raise ValueError(f"idle_timeout_s must be positive and finite, got {idle_timeout_s}")
     stream: IO[bytes] | None = None
     inode: int | None = None
     buffer = b""

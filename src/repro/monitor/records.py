@@ -32,9 +32,10 @@ range rule for ports and byte counts (:func:`check_port`,
 from __future__ import annotations
 
 import enum
+import ipaddress
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from sys import intern
 from typing import NamedTuple, Sequence
 
@@ -133,15 +134,32 @@ class DnsAnswer(NamedTuple):
         return self.rtype in ("A", "AAAA")
 
 
+def _answer_type(data: str) -> str:
+    """The type of an answer logged without one, read from its *data*.
+
+    An IPv4 literal is A and an IPv6 literal AAAA. Anything else is a
+    name, typed CNAME: real Zeek's ``dns.log`` has no ``answer_types``
+    column and lists an A query's CNAME targets among its answers.
+    """
+    try:
+        address = ipaddress.ip_address(data)
+    except ValueError:
+        return "CNAME"
+    return "A" if address.version == 4 else "AAAA"
+
+
 def build_answers(data: list[str], ttls: list, types: list[str]) -> tuple[DnsAnswer, ...]:
     """A logged transaction's answers from its three vectors, for the
     TSV and JSON rows. *ttls* is empty (every TTL 0) or as long as
-    *data*; an answer past the end of *types* is an A record. Data and
-    types are shared through :func:`sys.intern`."""
+    *data*; an answer past the end of *types* takes its type from its
+    data (:func:`_answer_type`). Data and types are shared through
+    :func:`sys.intern`."""
     if ttls and len(ttls) != len(data):
         raise LogFormatError(f"{len(data)} answers but {len(ttls)} TTLs")
     seconds = map(float, ttls) if ttls else repeat(0.0)
-    return tuple(map(DnsAnswer, map(intern, data), seconds, map(intern, chain(types, repeat("A")))))
+    if len(types) < len(data):
+        types = types + [_answer_type(text) for text in data[len(types):]]
+    return tuple(map(DnsAnswer, map(intern, data), seconds, map(intern, types)))
 
 
 #: The rcode string Zeek logs for a query that never got a response
@@ -271,11 +289,11 @@ class TruthClass(enum.Enum):
 class GroundTruth:
     """Simulation-side truth for validating the analysis heuristics.
 
-    Produced by the workload generator alongside each connection; keyed
-    by the connection uid. Not consumed by :mod:`repro.core`.
+    Produced by the workload generator alongside each connection; the
+    capture keys it by the uid it assigns the connection. Not consumed
+    by :mod:`repro.core`.
     """
 
-    conn_uid: str
     truth_class: TruthClass
     hostname: str | None = None
     dns_uid: str | None = None

@@ -32,9 +32,11 @@ from __future__ import annotations
 
 import bisect
 import enum
+import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field
+from math import inf
 
 from repro.errors import SimulationError
 from repro.simulation.random import derive_seed, poisson_arrivals
@@ -217,17 +219,20 @@ class FaultConfig:
         )
         if total > 1.0:
             raise SimulationError(f"fault probabilities sum to {total}, must be <= 1")
-        if self.tcp_fallback_penalty_s < 0:
+        # Written so that NaN fails too, as infinity does.
+        if not 0 <= self.tcp_fallback_penalty_s < inf:
             raise SimulationError(
-                f"tcp_fallback_penalty_s cannot be negative, got {self.tcp_fallback_penalty_s}"
+                "tcp_fallback_penalty_s must be finite and not negative, "
+                f"got {self.tcp_fallback_penalty_s}"
             )
-        if self.outage_rate_per_hour < 0:
+        if not 0 <= self.outage_rate_per_hour < inf:
             raise SimulationError(
-                f"outage_rate_per_hour cannot be negative, got {self.outage_rate_per_hour}"
+                "outage_rate_per_hour must be finite and not negative, "
+                f"got {self.outage_rate_per_hour}"
             )
-        if self.outage_duration_s <= 0:
+        if not 0 < self.outage_duration_s < inf:
             raise SimulationError(
-                f"outage_duration_s must be positive, got {self.outage_duration_s}"
+                f"outage_duration_s must be positive and finite, got {self.outage_duration_s}"
             )
 
     @property
@@ -257,6 +262,10 @@ class FaultDecision:
 
 _NO_FAULT = FaultDecision(kind=FaultKind.NONE)
 _OUTAGE_TIMEOUT = FaultDecision(kind=FaultKind.TIMEOUT, during_outage=True)
+_TIMEOUT = FaultDecision(kind=FaultKind.TIMEOUT)
+_SERVFAIL = FaultDecision(kind=FaultKind.SERVFAIL)
+_NXDOMAIN = FaultDecision(kind=FaultKind.NXDOMAIN)
+_TRUNCATION = FaultDecision(kind=FaultKind.TRUNCATION)
 
 
 class FaultPlan:
@@ -267,6 +276,14 @@ class FaultPlan:
     issuing the same query at the same simulated time always yields the
     same fault, no matter how many other queries ran in between. The
     plan never touches the simulation's model streams.
+
+    A query's draw is the first ``random()`` of
+    ``random.Random(derive_seed(seed, "query", platform, qname,
+    f"{now:.6f}"))``. The plan computes that seed with one ``sha256``
+    over the same bytes ``derive_seed`` hashes, a per-platform prefix
+    followed by ``f"{qname}/{now:.6f}"``, and reseeds one generator of
+    its own with it: ``seed(int)`` resets the whole state, so the draw
+    is the same float without a generator built per query.
     """
 
     def __init__(
@@ -280,6 +297,18 @@ class FaultPlan:
             raise SimulationError(f"horizon_s cannot be negative, got {horizon_s}")
         self.config = config
         self._seed = seed
+        # The per-query bands in draw order, each a (width, verdict).
+        self._bands = (
+            (config.timeout_probability, _TIMEOUT),
+            (config.servfail_probability, _SERVFAIL),
+            (config.nxdomain_probability, _NXDOMAIN),
+            (config.truncation_probability, _TRUNCATION),
+        )
+        self._query_faults = sum(width for width, _ in self._bands) > 0
+        # Reseeded before every draw; bytes, not hash objects, so the
+        # plan stays picklable.
+        self._rng = random.Random(0)
+        self._query_prefixes: dict[str, bytes] = {}
         self._outages: dict[str, list[tuple[float, float]]] = {}
         self._outage_starts: dict[str, list[float]] = {}
         for platform in platforms:
@@ -322,26 +351,18 @@ class FaultPlan:
         """
         if self.in_outage(platform, now):
             return _OUTAGE_TIMEOUT
-        config = self.config
-        total = (
-            config.timeout_probability
-            + config.servfail_probability
-            + config.nxdomain_probability
-            + config.truncation_probability
-        )
-        if total <= 0:
+        if not self._query_faults:
             return _NO_FAULT
-        rng = random.Random(derive_seed(self._seed, "query", platform, qname, f"{now:.6f}"))
+        prefix = self._query_prefixes.get(platform)
+        if prefix is None:
+            prefix = f"{self._seed}/query/{platform}/".encode("utf-8")
+            self._query_prefixes[platform] = prefix
+        digest = hashlib.sha256(prefix + f"{qname}/{now:.6f}".encode("utf-8")).digest()
+        rng = self._rng
+        rng.seed(int.from_bytes(digest[:8], "big"))
         draw = rng.random()
-        if draw < config.timeout_probability:
-            return FaultDecision(kind=FaultKind.TIMEOUT)
-        draw -= config.timeout_probability
-        if draw < config.servfail_probability:
-            return FaultDecision(kind=FaultKind.SERVFAIL)
-        draw -= config.servfail_probability
-        if draw < config.nxdomain_probability:
-            return FaultDecision(kind=FaultKind.NXDOMAIN)
-        draw -= config.nxdomain_probability
-        if draw < config.truncation_probability:
-            return FaultDecision(kind=FaultKind.TRUNCATION)
+        for width, verdict in self._bands:
+            if draw < width:
+                return verdict
+            draw -= width
         return _NO_FAULT

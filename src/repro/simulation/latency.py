@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
+from repro.simulation.random import lognormal
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,7 +74,7 @@ class LatencyModel:
         """
         rtt = self.base_rtt_s
         if self.jitter_median > 0:
-            rtt += rng.lognormvariate(self._ln_jitter_median, self.jitter_sigma)
+            rtt += lognormal(rng, self._ln_jitter_median, self.jitter_sigma)
         retransmits = 0
         while (
             self.loss_probability

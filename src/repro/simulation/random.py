@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+from math import exp, log
+from random import NV_MAGICCONST
 from typing import Iterator
 
 
@@ -43,6 +45,25 @@ class RandomStreams:
     def spawn(self, *names: str | int) -> "RandomStreams":
         """A child factory whose streams are namespaced under *names*."""
         return RandomStreams(derive_seed(self.master_seed, *names, "spawn"))
+
+
+def lognormal(rng: random.Random, mu: float, sigma: float) -> float:
+    """``rng.lognormvariate(mu, sigma)``, draw for draw and bit for bit.
+
+    CPython 3.11's ``normalvariate`` loop (Kinderman and Monahan's ratio
+    of uniforms) inlined: the same ``rng.random()`` calls and the same
+    float operations in the same order, in one frame instead of the two
+    that ``lognormvariate`` and ``normalvariate`` cost. The simulator's
+    lognormal draws all come through here; ``tests/test_draw_exactness.py``
+    pins the equality against the interpreter's own method.
+    """
+    draw = rng.random
+    while True:
+        u1 = draw()
+        u2 = 1.0 - draw()
+        z = NV_MAGICCONST * (u1 - 0.5) / u2
+        if z * z / 4.0 <= -log(u2):
+            return exp(mu + z * sigma)
 
 
 def poisson_arrivals(rng: random.Random, rate_per_second: float, start: float, end: float) -> Iterator[float]:

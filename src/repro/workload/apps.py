@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from repro.monitor.records import Proto
 from repro.simulation.engine import SimulationEngine
+from repro.simulation.random import lognormal
 from repro.workload.devices import Device
 from repro.workload.namespace import (
     ALARMNET_SERVERS,
@@ -226,7 +227,7 @@ class WebBrowsingModel:
         # process subcritical (a session must not spawn sessions forever).
         if links and click_depth < 4 and rng.random() < config.click_probability:
             target = rng.choice(links)
-            delay = rng.lognormvariate(math.log(config.click_delay_median_s), config.click_delay_sigma)
+            delay = lognormal(rng, math.log(config.click_delay_median_s), config.click_delay_sigma)
             click_at = prefetch_at + delay
             if click_at < end:
                 engine.schedule_at(
@@ -246,7 +247,7 @@ class WebBrowsingModel:
                 )
         # Next page of this session, on the same site.
         if pages_left > 1:
-            gap = rng.lognormvariate(math.log(config.interpage_median), config.interpage_sigma)
+            gap = lognormal(rng, math.log(config.interpage_median), config.interpage_sigma)
             next_at = when + gap
             if next_at < end:
                 engine.schedule_at(
@@ -349,7 +350,7 @@ class ConnectivityCheckModel:
             resolution = device.resolve(host.hostname, when)
             if not resolution.failed:
                 device.open_connections(host, resolution, count=1, size_scale=1.0, port=443)
-            next_at = when + rng.lognormvariate(math.log(self.period_median), 0.5)
+            next_at = when + lognormal(rng, math.log(self.period_median), 0.5)
             if next_at < end:
                 engine.schedule_at(next_at, _bind(probe, next_at))
 
@@ -385,7 +386,7 @@ class P2PModel:
             peer_ip = f"{rng.randint(70, 95)}.{rng.randint(1, 254)}.{rng.randint(1, 254)}.{rng.randint(1, 254)}"
             peer_port = rng.randint(10000, 65000)
             proto = Proto.UDP if rng.random() < 0.45 else Proto.TCP
-            size = rng.lognormvariate(math.log(8e4), 1.6)
+            size = lognormal(rng, math.log(8e4), 1.6)
             duration = rng.uniform(1.0, 240.0)
             device.connect_hardcoded(
                 now=t,

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.dns.cache import cache_key
 from repro.dns.resolver import StubLookup, StubResolver
 from repro.monitor.records import DnsAnswer, GroundTruth, Proto, TruthClass
+from repro.simulation.random import lognormal
 from repro.workload.namespace import HostProfile
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -35,15 +35,20 @@ _CONN_SETUP_MEDIAN = 0.004
 _CONN_SETUP_SIGMA = 0.8
 _LN_CONN_SETUP_MEDIAN = math.log(_CONN_SETUP_MEDIAN)
 
+#: The ground truth of every connection that no lookup answered: a
+#: hard-coded address, or DNS-over-TLS to the resolver (class N).
+_NO_DNS_TRUTH = GroundTruth(TruthClass.NO_DNS)
 
-@dataclass(frozen=True, slots=True)
-class Resolution:
+
+class Resolution(NamedTuple):
     """Outcome of a device-level name resolution.
 
     ``hard_failure`` distinguishes a lookup that failed at the transport
     level (timeout after the full retry budget, or SERVFAIL) from a
     definitive NXDOMAIN: applications may retry or fall back to a cached
-    address after the former, never after the latter.
+    address after the former, never after the latter. A
+    :class:`~typing.NamedTuple`, like the resolver's results: one is
+    built per device resolution.
     """
 
     hostname: str
@@ -173,7 +178,7 @@ class Device:
                 orig_bytes=int(self.rng.uniform(200, 500)),
                 resp_bytes=int(self.rng.uniform(300, 900)),
                 service="dot",
-                truth=GroundTruth(conn_uid="", truth_class=TruthClass.NO_DNS),
+                truth=_NO_DNS_TRUTH,
             )
             record_uid = None
         else:
@@ -221,15 +226,10 @@ class Device:
         """
         if not addresses:
             return None
-        return Resolution(
-            hostname=resolution.hostname,
+        return resolution._replace(
             addresses=addresses,
-            completed_at=resolution.completed_at,
             truth_class=TruthClass.LOCAL_CACHE,
-            dns_uid=resolution.dns_uid,
             used_expired_record=True,
-            resolver_platform=resolution.resolver_platform,
-            wire_visible=resolution.wire_visible,
             hard_failure=True,
         )
 
@@ -276,7 +276,7 @@ class Device:
         # OS/application processing between the DNS answer landing and the
         # SYN leaving: a few milliseconds, occasionally tens (this is the
         # sub-knee mass of the paper's Figure 1).
-        setup = self.rng.lognormvariate(_LN_CONN_SETUP_MEDIAN, _CONN_SETUP_SIGMA)
+        setup = lognormal(self.rng, _LN_CONN_SETUP_MEDIAN, _CONN_SETUP_SIGMA)
         start = resolution.completed_at + min(setup, 0.03)
         for index in range(count):
             if index > 0:
@@ -316,11 +316,11 @@ class Device:
         address = rng.choice(resolution.addresses)
         if proto == Proto.TCP and port == 443 and rng.random() < self.quic_fraction:
             proto = Proto.UDP
-        size = max(200.0, rng.lognormvariate(_ln(host.typical_bytes * size_scale), 0.9))
+        size = max(200.0, lognormal(rng, _ln(host.typical_bytes * size_scale), 0.9))
         duration = self._transfer_duration(host, resolution.resolver_platform, size)
         request_bytes = int(rng.uniform(300, 1800))
+        # The capture keys this object under the uid it assigns.
         truth = GroundTruth(
-            "",  # conn_uid, assigned by the capture
             truth_class,
             host.hostname,
             resolution.dns_uid,
@@ -360,13 +360,13 @@ class Device:
         if host.cdn_org is not None and platform is not None:
             edge = self.house.universe.cdn_edge(host.cdn_org, platform)
             factor = edge.sample_factor(self.rng, size)
-        throughput = host.base_throughput * factor * self.rng.lognormvariate(0.0, 0.55)
+        throughput = host.base_throughput * factor * lognormal(self.rng, 0.0, 0.55)
         rtt_floor = self.rng.uniform(0.02, 0.09)
         # Small transfers (beacons, checks) are one-shot; large ones ride
         # persistent connections that stay open far longer than the raw
         # transfer (keep-alive, chunked delivery).
         pacing_median = 45.0 + 425.0 * min(1.0, size / 2e5)
-        pacing = self.rng.lognormvariate(_ln(pacing_median), 1.2)
+        pacing = lognormal(self.rng, _ln(pacing_median), 1.2)
         return rtt_floor + pacing * size / max(1e4, throughput)
 
     def followup_connections(
@@ -414,7 +414,6 @@ class Device:
         conn_state: str = "SF",
     ) -> None:
         """A connection to a hard-coded IP: no DNS involvement (class N)."""
-        truth = GroundTruth(conn_uid="", truth_class=TruthClass.NO_DNS)
         self.house.capture.record_conn(
             ts=now,
             orig_h=self.house.ip,
@@ -427,7 +426,7 @@ class Device:
             resp_bytes=resp_bytes,
             service=service,
             conn_state=conn_state,
-            truth=truth,
+            truth=_NO_DNS_TRUTH,
         )
 
 

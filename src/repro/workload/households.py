@@ -17,6 +17,7 @@ from repro.dns.cache import CacheKey, DnsCache
 from repro.dns.resolver import RecursiveResolver, StubResolver
 from repro.errors import WorkloadError
 from repro.simulation.faults import ConnectionBudget, RetryPolicy
+from repro.simulation.random import lognormal
 from repro.monitor.capture import MonitorCapture
 from repro.workload.devices import Device
 from repro.workload.namespace import NameUniverse
@@ -174,7 +175,7 @@ class HouseholdBuilder:
         violator_rng = random.Random(rng.getrandbits(64))
 
         def overstay(key: CacheKey) -> float:
-            return min(cap, violator_rng.lognormvariate(math.log(median), sigma))
+            return min(cap, lognormal(violator_rng, math.log(median), sigma))
 
         return overstay
 

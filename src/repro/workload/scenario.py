@@ -9,6 +9,7 @@ a small fast variant for unit tests (:func:`smoke_scenario`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import inf
 
 from repro.dns.cache import EVICTION_POLICIES
 from repro.errors import WorkloadError
@@ -87,15 +88,17 @@ class PressureConfig:
             ("resolver_max_queue_wait_s", self.resolver_max_queue_wait_s),
             ("flash_crowd_rate_per_hour", self.flash_crowd_rate_per_hour),
         ):
-            if value < 0:
-                raise WorkloadError(f"{label} cannot be negative, got {value}")
-        if self.flash_crowd_duration_s <= 0:
+            # Written so that NaN fails too, as infinity does.
+            if not 0 <= value < inf:
+                raise WorkloadError(f"{label} must be finite and not negative, got {value}")
+        if not 0 < self.flash_crowd_duration_s < inf:
             raise WorkloadError(
-                f"flash_crowd_duration_s must be positive, got {self.flash_crowd_duration_s}"
+                "flash_crowd_duration_s must be positive and finite, "
+                f"got {self.flash_crowd_duration_s}"
             )
-        if self.flash_crowd_intensity < 1.0:
+        if not 1.0 <= self.flash_crowd_intensity < inf:
             raise WorkloadError(
-                f"flash_crowd_intensity must be >= 1, got {self.flash_crowd_intensity}"
+                f"flash_crowd_intensity must be finite and >= 1, got {self.flash_crowd_intensity}"
             )
 
     @property
@@ -162,10 +165,10 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.houses <= 0:
             raise WorkloadError(f"houses must be positive, got {self.houses}")
-        if self.duration <= 0:
-            raise WorkloadError(f"duration must be positive, got {self.duration}")
-        if self.warmup < 0:
-            raise WorkloadError(f"warmup cannot be negative, got {self.warmup}")
+        if not 0 < self.duration < inf:
+            raise WorkloadError(f"duration must be positive and finite, got {self.duration}")
+        if not 0 <= self.warmup < inf:
+            raise WorkloadError(f"warmup must be finite and not negative, got {self.warmup}")
 
     def scaled(self, houses: int | None = None, duration: float | None = None) -> "ScenarioConfig":
         """A copy with a different size (same behaviour knobs)."""

@@ -228,9 +228,9 @@ class TestCapture:
         from repro.monitor.records import GroundTruth, TruthClass
 
         capture = MonitorCapture()
+        truth = GroundTruth(truth_class=TruthClass.NO_DNS)
         conn = capture.record_conn(
-            1.0, "10.0.0.1", 2, "1.2.3.4", 443, Proto.TCP, 1.0, 1, 1,
-            truth=GroundTruth(conn_uid="", truth_class=TruthClass.NO_DNS),
+            1.0, "10.0.0.1", 2, "1.2.3.4", 443, Proto.TCP, 1.0, 1, 1, truth=truth,
         )
         assert capture.trace.truth[conn.uid].truth_class == TruthClass.NO_DNS
-        assert capture.trace.truth[conn.uid].conn_uid == conn.uid
+        assert capture.trace.truth[conn.uid] is truth

@@ -156,9 +156,11 @@ class CacheModel(RuleBasedStateMachine):
     all with the same per-name overstays and staleness budgets. More
     names than capacity keep them evicting. Per policy, the reference
     holds each entry's deadlines, derived in the documented association,
-    in LRU order and applies the policy's victim rule itself, so it
-    predicts membership, LRU order, every lookup's outcome and every
-    counter exactly.
+    in LRU order and applies the policy's victim rule itself, walking
+    every entry on every eviction, so it predicts membership, LRU order,
+    every lookup's outcome and every counter exactly. It keeps none of
+    the cache's eviction bounds, so a bound that stopped being a lower
+    bound would pick a different victim.
     """
 
     @initialize(overstays=cache_windows, budgets=cache_windows)
@@ -185,16 +187,17 @@ class CacheModel(RuleBasedStateMachine):
     def _budget(self, policy, key) -> float:
         return self.budgets[key] if policy == "serve-stale" else 0.0
 
-    def _victim(self, policy):
+    def _victim(self, policy, now):
+        """The victim at *now*, found by walking every entry each time."""
         order = self.references[policy]
         if policy == "ttl-aware":
             return min(order, key=lambda key: order[key][0])
         if policy == "serve-stale":
             for key, (_, _, dead_at) in order.items():
-                if self.clock >= dead_at:
+                if now >= dead_at:
                     return key
             for key, (_, servable_until, _) in order.items():
-                if self.clock >= servable_until:
+                if now >= servable_until:
                     return key
         return next(iter(order))
 
@@ -225,15 +228,24 @@ class CacheModel(RuleBasedStateMachine):
         self.used[policy].add(key)
         return (True, expired, stale, first_use)
 
-    @rule(which=st.integers(0, len(CACHE_KEYS) - 1), ttl=st.integers(1, 100), advance=st.floats(0, 50))
-    def put(self, which, ttl, advance):
+    # A put may be stamped earlier than the clock, as the stub stores an
+    # answer at its completion time, which can be later than lookups
+    # that follow it: the victim rule then applies at the stamp.
+    @rule(
+        which=st.integers(0, len(CACHE_KEYS) - 1),
+        ttl=st.integers(1, 100),
+        advance=st.floats(0, 50),
+        lag=st.just(0.0) | st.floats(0, 50),
+    )
+    def put(self, which, ttl, advance, lag):
         self.clock += advance
+        stamp = self.clock - lag
         key = CACHE_KEYS[which]
         rrset = (a_record(CACHE_NAMES[which], "10.0.0.1", ttl),)
-        expires_at = self.clock + float(ttl)
+        expires_at = stamp + float(ttl)
         servable_until = expires_at + self.overstays[key]
         for policy, cache in self.caches.items():
-            cache.put(key, rrset, self.clock)
+            cache.put(key, rrset, stamp)
             order = self.references[policy]
             order.pop(key, None)
             self.used[policy].discard(key)
@@ -243,7 +255,7 @@ class CacheModel(RuleBasedStateMachine):
                 servable_until + self._budget(policy, key),
             )
             while len(order) > CACHE_CAPACITY:
-                del order[self._victim(policy)]
+                del order[self._victim(policy, stamp)]
                 self.expected[policy].evictions += 1
 
     # One rule for every use of an entry: the two views of the lookup
