@@ -197,9 +197,10 @@ def _add_streaming_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _print_ingest_reports(reports, stream) -> None:
-    """Write lenient-ingest quarantine summaries to *stream*."""
+    """Write the summary of each lenient-ingest report that quarantined
+    or dropped rows to *stream*."""
     for report in reports:
-        if report.ok:
+        if report.ok and not report.dropped:
             continue
         print(f"ingest: {report.summary()}", file=stream)
         for line in report.quarantined[:10]:

@@ -155,14 +155,6 @@ class RecursiveResolver:
         self._questions: dict[tuple[str, int], Question] = {}
         # RFC 2308 negative cache: key -> (expires at, was NXDOMAIN).
         self._negative: dict[CacheKey, tuple[float, bool]] = {}
-        self.queries_served = 0
-        self.authoritative_queries = 0
-        self.background_hits = 0
-        self.fault_timeouts = 0
-        self.fault_servfails = 0
-        self.fault_nxdomains = 0
-        self.fault_truncations = 0
-        self.connections_refused = 0
 
     @property
     def platform(self) -> str:
@@ -197,8 +189,6 @@ class RecursiveResolver:
         wait_s = budget.admit(now)
         if wait_s is None:
             # Out of connection slots and the queue is too deep: shed.
-            self.connections_refused += 1
-            self.queries_served += 1
             duration = self.profile.client_latency_model.sample(rng) + _PROCESSING_DELAY
             return ResolutionOutcome(
                 qname=name,
@@ -248,7 +238,6 @@ class RecursiveResolver:
         fallback penalty.
         """
         if kind is FaultKind.TIMEOUT:
-            self.fault_timeouts += 1
             return ResolutionOutcome(
                 qname=name,
                 qtype=qtype,
@@ -259,8 +248,6 @@ class RecursiveResolver:
                 timed_out=True,
             )
         if kind is FaultKind.SERVFAIL:
-            self.fault_servfails += 1
-            self.queries_served += 1
             duration = self.profile.client_latency_model.sample(rng) + _PROCESSING_DELAY
             return ResolutionOutcome(
                 qname=name,
@@ -272,8 +259,6 @@ class RecursiveResolver:
                 servfail=True,
             )
         if kind is FaultKind.NXDOMAIN:
-            self.fault_nxdomains += 1
-            self.queries_served += 1
             duration = self.profile.client_latency_model.sample(rng) + _PROCESSING_DELAY
             return ResolutionOutcome(
                 qname=name,
@@ -285,7 +270,6 @@ class RecursiveResolver:
                 nxdomain=True,
             )
         assert kind is FaultKind.TRUNCATION and self._faults is not None
-        self.fault_truncations += 1
         outcome = self._resolve_clean(name, qtype, now, rng)
         penalty = (
             self.profile.client_latency_model.sample(rng)
@@ -301,7 +285,6 @@ class RecursiveResolver:
         rng: random.Random,
     ) -> ResolutionOutcome:
         """The fault-free resolution path (cache, negative cache, chase)."""
-        self.queries_served += 1
         profile = self.profile
         duration = profile.client_latency_model.sample(rng) + _PROCESSING_DELAY
 
@@ -356,7 +339,6 @@ class RecursiveResolver:
                 ttl = float(min(rr.ttl for rr in records))
                 age = rng.uniform(0.0, 0.8 * ttl) if ttl > 0 else 0.0
                 aged = tuple(rr.with_ttl(max(0, int(rr.ttl - age))) for rr in records)
-                self.background_hits += 1
                 return ResolutionOutcome(
                     qname=name,
                     qtype=qtype,
@@ -448,7 +430,6 @@ class RecursiveResolver:
             self._questions[question_key] = question
         for server in path[start_index:]:
             auth_queries += 1
-            self.authoritative_queries += 1
             answer = server.query(question, requester=self.platform)
             if answer.is_referral:
                 referral = answer.referral
@@ -537,9 +518,6 @@ class StubResolver:
         self._rng = rng if rng is not None else random.Random(0)
         self._retry = retry if retry is not None else RetryPolicy()
         self._budget = connection_budget
-        #: Lookups dropped on-device because the stub's own fd budget
-        #: was exhausted (no wire transaction ever happened).
-        self.local_sheds = 0
 
     def pick_upstream(self, rng: random.Random | None = None) -> RecursiveResolver:
         """Choose an upstream resolver proportionally to its weight."""
@@ -580,7 +558,6 @@ class StubResolver:
             if admitted is None:
                 # The device itself is out of sockets: the lookup dies
                 # locally, before any wire transaction.
-                self.local_sheds += 1
                 shed = ResolutionOutcome(
                     qname=name,
                     qtype=qtype,

@@ -34,6 +34,7 @@ from repro.monitor.records import (
     check_elapsed,
     check_finite,
     check_port,
+    no_transport,
 )
 
 
@@ -58,12 +59,14 @@ class IngestReport:
     and passes it to a reader as ``report=``; the reader counts parsed
     records into it and quarantines each malformed line with its line
     number and reason, so the discarded population can be audited once
-    the reader has drained.
+    the reader has drained. ``dropped`` counts the well-formed conn rows
+    no record can hold (Zeek's ``icmp`` and ``unknown_transport``).
     """
 
     path_label: str
     parsed: int = 0
     quarantined: list[QuarantinedLine] = field(default_factory=list)
+    dropped: int = 0
 
     @property
     def ok(self) -> bool:
@@ -80,11 +83,13 @@ class IngestReport:
 
     def summary(self) -> str:
         """A one-line human-readable digest."""
+        counts = f"{self.path_label}: {self.parsed} records"
+        if self.dropped:
+            counts += f", {self.dropped} rows without TCP or UDP dropped"
         if self.ok:
-            return f"{self.path_label}: {self.parsed} records, no quarantined lines"
+            return f"{counts}, no quarantined lines"
         return (
-            f"{self.path_label}: {self.parsed} records, "
-            f"{len(self.quarantined)} quarantined lines "
+            f"{counts}, {len(self.quarantined)} quarantined lines "
             f"({100.0 * self.quarantine_fraction:.2f}%)"
         )
 
@@ -364,7 +369,10 @@ def parse_lines(
     are not UTF-8 is malformed too. Without *report* a malformed line
     raises :class:`LogFormatError` as ``line N: <reason>``. With a
     report the line is quarantined into it with the bare reason, every
-    parsed record is counted into it, and reading goes on.
+    parsed record is counted into it, and reading goes on. A conn row
+    of a flow without TCP or UDP is not malformed: it is dropped, and
+    counted into *report* when there is one. The rows signal it through
+    their error, so a row that parses pays nothing for the rule.
     """
     parse: Callable = _before_header
     is_json = None
@@ -386,6 +394,10 @@ def parse_lines(
                 _check_utf8(line)
             record = parse(line)
         except (ValueError, OverflowError, LogFormatError) as exc:
+            if kind == "conn" and no_transport(exc):
+                if report is not None:
+                    report.dropped += 1
+                continue
             if report is None:
                 raise LogFormatError(f"line {number}: {exc}") from exc
             report.quarantined.append(QuarantinedLine(number, str(exc), line))

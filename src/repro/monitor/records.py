@@ -114,11 +114,22 @@ class Proto(enum.Enum):
         try:
             return _PROTOS[text.lower()]
         except KeyError:
-            raise LogFormatError(f"unknown protocol {text!r}") from None
+            raise LogFormatError(_UNKNOWN_PROTOCOL.format(text)) from None
 
 
 # A dict lookup: Enum.__call__ costs a Python call chain per parsed row.
 _PROTOS = {proto.value: proto for proto in Proto}
+_UNKNOWN_PROTOCOL = "unknown protocol {!r}"
+# Proto.parse's errors for Zeek's two other ``proto`` values, the flows
+# with no TCP or UDP header.
+_NO_TRANSPORT = frozenset(map(_UNKNOWN_PROTOCOL.format, ("icmp", "unknown_transport")))
+
+
+def no_transport(error: Exception) -> bool:
+    """Is *error* :meth:`Proto.parse` refusing Zeek's ``icmp`` or
+    ``unknown_transport``, in any case? A conn log holds such flows, but
+    no record can: the log readers drop them instead of failing."""
+    return str(error).lower() in _NO_TRANSPORT
 
 
 class DnsAnswer(NamedTuple):

@@ -5,7 +5,7 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "engine": ("EventHandle", "SimulationEngine"),
+        "engine": ("SimulationEngine",),
         "latency": (
             "LatencyModel",
             "authoritative_latency",

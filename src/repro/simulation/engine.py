@@ -1,182 +1,62 @@
 """A deterministic discrete-event simulation engine.
 
-The engine is a classic binary-heap event loop. Events scheduled at the
-same timestamp fire in insertion order (a monotonically increasing
-sequence number breaks ties), which keeps whole-trace generation
-bit-for-bit reproducible for a given seed.
-
-Heap entries are plain lists ``[time, sequence, callback, state]``
-rather than dataclass instances: list comparison short-circuits on the
-``(time, sequence)`` prefix (the unique sequence number guarantees the
-callback is never compared), and avoiding a per-event object with
-``__dict__``/descriptor overhead roughly halves scheduling cost on the
-generator's hot path. Cancellation is lazy (the entry stays in the heap
-with its callback dropped) with bounded garbage: once cancelled entries
-outnumber live ones the heap is compacted in one O(n) pass, so a
-workload that cancels heavily cannot grow the heap without bound, and
-``pending()`` stays O(1) bookkeeping instead of an O(n) scan.
+The engine is a binary heap of ``(time, sequence, callback)`` tuples.
+Events scheduled at the same timestamp fire in insertion order: a
+monotonically increasing sequence number breaks ties, so the callback is
+never compared, and whole-trace generation stays bit-for-bit
+reproducible for a given seed. Each callback is handed its own
+scheduled time. Nothing cancels an event, so there are no handles, no
+dead entries and no compaction.
 """
 
 from __future__ import annotations
 
-import heapq
 from heapq import heappop, heappush
 from typing import Callable
 
 from repro.errors import SimulationError
 
-EventCallback = Callable[[], None]
-
-# Entry state values (index 3 of a heap entry).
-_PENDING = 0
-_CANCELLED = 1
-_FIRED = 2
-
-# Entry field indices, for readability at the call sites.
-_TIME = 0
-_CALLBACK = 2
-_STATE = 3
-
-_Entry = list  # [time: float, sequence: int, callback | None, state: int]
-
-
-class EventHandle:
-    """Opaque handle allowing a scheduled event to be cancelled."""
-
-    __slots__ = ("_engine", "_entry")
-
-    def __init__(self, engine: "SimulationEngine", entry: _Entry):
-        self._engine = engine
-        self._entry = entry
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (no-op if already fired)."""
-        entry = self._entry
-        if entry[_STATE] == _PENDING:
-            entry[_STATE] = _CANCELLED
-            entry[_CALLBACK] = None  # drop the closure now, not at pop time
-            self._engine._note_cancelled()
-
-    @property
-    def time(self) -> float:
-        """The simulated time the event is scheduled for."""
-        return self._entry[_TIME]
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry[_STATE] == _CANCELLED
+EventCallback = Callable[[float], None]
 
 
 class SimulationEngine:
     """Single-threaded discrete-event loop with simulated time in seconds."""
 
-    def __init__(self, start_time: float = 0.0):
-        self._now = start_time
-        self._queue: list[_Entry] = []
+    def __init__(self) -> None:
+        self._now = 0.0
+        self._queue: list[tuple[float, int, EventCallback]] = []
         self._next_sequence = 0
-        self._cancelled_count = 0
         self._running = False
-        self.events_processed = 0
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
-    def schedule_at(self, when: float, callback: EventCallback) -> EventHandle:
-        """Schedule *callback* at absolute time *when*."""
+    def schedule_at(self, when: float, callback: EventCallback) -> None:
+        """Schedule ``callback(when)`` at absolute simulated time *when*."""
         if when < self._now:
             raise SimulationError(
                 f"cannot schedule event at {when:.6f}, current time is {self._now:.6f}"
             )
-        entry: _Entry = [when, self._next_sequence, callback, _PENDING]
+        heappush(self._queue, (when, self._next_sequence, callback))
         self._next_sequence += 1
-        heappush(self._queue, entry)
-        return EventHandle(self, entry)
 
-    def schedule(self, delay_s: float, callback: EventCallback) -> EventHandle:
-        """Schedule *callback* after *delay_s* seconds of simulated time."""
-        if delay_s < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay_s}")
-        return self.schedule_at(self._now + delay_s, callback)
+    def run(self, until: float | None = None) -> int:
+        """Fire events in ``(time, sequence)`` order; return how many fired.
 
-    def pending(self) -> int:
-        """Number of live (non-cancelled) events still scheduled. O(1)."""
-        return len(self._queue) - self._cancelled_count
-
-    def _note_cancelled(self) -> None:
-        """Account one lazy cancellation; compact once garbage dominates."""
-        self._cancelled_count += 1
-        if self._cancelled_count * 2 > len(self._queue):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify in one O(n) pass.
-
-        The queue list is mutated *in place* (slice assignment), never
-        rebound: compaction can fire from inside an event callback while
-        ``run()``/``step()`` hold a local alias to the queue, and a
-        rebind would leave them draining a stale snapshot — events
-        scheduled after compaction would silently never fire, and
-        popping already-dropped cancelled entries would drive
-        ``_cancelled_count`` negative.
-
-        Cancelled entries already hold ``state == _CANCELLED`` forever
-        (their handles keep referencing the detached entry), so a
-        ``cancel()`` arriving after compaction remains a no-op and a
-        handle's ``cancelled`` property stays truthful.
-        """
-        self._queue[:] = [entry for entry in self._queue if entry[_STATE] == _PENDING]
-        heapq.heapify(self._queue)
-        self._cancelled_count = 0
-
-    def step(self) -> bool:
-        """Fire the next event; returns False when the queue is empty."""
-        queue = self._queue
-        while queue:
-            entry = heappop(queue)
-            if entry[_STATE] != _PENDING:
-                self._cancelled_count -= 1
-                continue
-            entry[_STATE] = _FIRED
-            self._now = entry[_TIME]
-            entry[_CALLBACK]()
-            self.events_processed += 1
-            return True
-        return False
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Drain the event queue.
-
-        Stops when the queue empties, when the next event would pass
-        *until* (time advances to *until*), or after *max_events* events.
-        Returns the number of events processed by this call.
+        Stops when the queue empties or when the next event would pass
+        *until*. Time then advances to *until*, and the later events
+        wait for the next call.
         """
         if self._running:
             raise SimulationError("run() called re-entrantly from an event callback")
         self._running = True
-        processed = 0
+        fired = 0
         queue = self._queue
         try:
-            while queue:
-                if max_events is not None and processed >= max_events:
-                    break
-                head = queue[0]
-                if head[_STATE] != _PENDING:
-                    heappop(queue)
-                    self._cancelled_count -= 1
-                    continue
-                if until is not None and head[_TIME] > until:
-                    break
-                # Inline step(): the head is known live, fire it directly.
-                heappop(queue)
-                head[_STATE] = _FIRED
-                self._now = head[_TIME]
-                head[_CALLBACK]()
-                self.events_processed += 1
-                processed += 1
+            while queue and (until is None or queue[0][0] <= until):
+                when, _, callback = heappop(queue)
+                self._now = when
+                callback(when)
+                fired += 1
         finally:
             self._running = False
         if until is not None and self._now < until:
             self._now = until
-        return processed
+        return fired

@@ -324,11 +324,18 @@ class FaultPlan:
         windows: list[tuple[float, float]] = []
         for start in poisson_arrivals(rng, rate_per_second, 0.0, horizon_s):
             length = rng.expovariate(1.0 / self.config.outage_duration_s)
-            windows.append((start, min(start + length, horizon_s)))
+            end = min(start + length, horizon_s)
+            # Poisson starts with exponential lengths overlap. A window
+            # that starts before the previous one ends extends it, so the
+            # windows stay disjoint and in_outage's bisect is exact.
+            if windows and start < windows[-1][1]:
+                windows[-1] = (windows[-1][0], max(end, windows[-1][1]))
+            else:
+                windows.append((start, end))
         return windows
 
     def outages_for(self, platform: str) -> tuple[tuple[float, float], ...]:
-        """The (start, end) outage windows scheduled for *platform*."""
+        """The disjoint (start, end) outage windows of *platform*, in order."""
         return tuple(self._outages.get(platform, ()))
 
     def in_outage(self, platform: str, now: float) -> bool:

@@ -73,15 +73,8 @@ def schedule_poisson(
             return scheduled
         if diurnal and rng.random() > diurnal_factor(t):
             continue
-        engine.schedule_at(t, _bind(callback, t))
+        engine.schedule_at(t, callback)
         scheduled += 1
-
-
-def _bind(callback, when: float):
-    def fire() -> None:
-        callback(when)
-
-    return fire
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,18 +166,15 @@ class WebBrowsingModel:
             if retry_at < end:
                 engine.schedule_at(
                     retry_at,
-                    _bind(
-                        lambda when2: self._visit_page(
-                            device,
-                            engine,
-                            site,
-                            when2,
-                            end,
-                            pages_left=pages_left,
-                            click_depth=click_depth,
-                            retried=True,
-                        ),
-                        retry_at,
+                    lambda when2: self._visit_page(
+                        device,
+                        engine,
+                        site,
+                        when2,
+                        end,
+                        pages_left=pages_left,
+                        click_depth=click_depth,
+                        retried=True,
                     ),
                 )
             return
@@ -232,17 +222,14 @@ class WebBrowsingModel:
             if click_at < end:
                 engine.schedule_at(
                     click_at,
-                    _bind(
-                        lambda when2, target=target: self._visit_page(
-                            device,
-                            engine,
-                            target,
-                            when2,
-                            end,
-                            pages_left=1,
-                            click_depth=click_depth + 1,
-                        ),
-                        click_at,
+                    lambda when2: self._visit_page(
+                        device,
+                        engine,
+                        target,
+                        when2,
+                        end,
+                        pages_left=1,
+                        click_depth=click_depth + 1,
                     ),
                 )
         # Next page of this session, on the same site.
@@ -252,17 +239,14 @@ class WebBrowsingModel:
             if next_at < end:
                 engine.schedule_at(
                     next_at,
-                    _bind(
-                        lambda when2: self._visit_page(
-                            device,
-                            engine,
-                            site,
-                            when2,
-                            end,
-                            pages_left=pages_left - 1,
-                            click_depth=click_depth,
-                        ),
-                        next_at,
+                    lambda when2: self._visit_page(
+                        device,
+                        engine,
+                        site,
+                        when2,
+                        end,
+                        pages_left=pages_left - 1,
+                        click_depth=click_depth,
                     ),
                 )
 
@@ -290,10 +274,10 @@ class ApiPollingModel:
                 device.open_connections(host, resolution, count=1, size_scale=0.3)
             next_at = when + period * device.rng.uniform(0.9, 1.1)
             if next_at < end:
-                engine.schedule_at(next_at, _bind(poll, next_at))
+                engine.schedule_at(next_at, poll)
 
         if first < end:
-            engine.schedule_at(first, _bind(poll, first))
+            engine.schedule_at(first, poll)
 
 
 class VideoStreamingModel:
@@ -327,7 +311,7 @@ class VideoStreamingModel:
             t += rng.uniform(20.0, 120.0)
             if t >= end:
                 break
-            engine.schedule_at(t, _bind(lambda when2: self._segment(device, host, when2), t))
+            engine.schedule_at(t, lambda when2: self._segment(device, host, when2))
 
     def _segment(self, device: Device, host, when: float) -> None:
         resolution = device.resolve(host.hostname, when)
@@ -352,11 +336,11 @@ class ConnectivityCheckModel:
                 device.open_connections(host, resolution, count=1, size_scale=1.0, port=443)
             next_at = when + lognormal(rng, math.log(self.period_median), 0.5)
             if next_at < end:
-                engine.schedule_at(next_at, _bind(probe, next_at))
+                engine.schedule_at(next_at, probe)
 
         first = start + rng.uniform(0, self.period_median)
         if first < end:
-            engine.schedule_at(first, _bind(probe, first))
+            engine.schedule_at(first, probe)
 
 
 class P2PModel:
@@ -425,11 +409,11 @@ class IoTHardcodedModel:
             action(device, when)
             next_at = when + period * rng.uniform(0.85, 1.15)
             if next_at < end:
-                engine.schedule_at(next_at, _bind(fire, next_at))
+                engine.schedule_at(next_at, fire)
 
         first = start + rng.uniform(0, period)
         if first < end:
-            engine.schedule_at(first, _bind(fire, first))
+            engine.schedule_at(first, fire)
 
     def _tplink_ntp(self, device: Device, when: float) -> None:
         # The retired public NTP server: queries go unanswered (state S0).

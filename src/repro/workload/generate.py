@@ -433,7 +433,7 @@ def _house_pressure_stats(context: HouseContext) -> PressureStats:
                 resolver_stale_expirations=cache_stats.stale_expirations,
                 resolver_admitted=budget.admitted if budget is not None else 0,
                 resolver_queued=budget.queued if budget is not None else 0,
-                resolver_refused=resolver.connections_refused,
+                resolver_refused=budget.shed if budget is not None else 0,
             )
         )
     return stats

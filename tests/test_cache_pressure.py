@@ -238,11 +238,9 @@ def hierarchy():
 
 class TestResolverBudget:
     def test_shed_query_is_refused(self, hierarchy):
+        budget = ConnectionBudget(1, max_queue_wait_s=0.0)
         resolver = RecursiveResolver(
-            make_profile(),
-            hierarchy,
-            rng=random.Random(1),
-            connection_budget=ConnectionBudget(1, max_queue_wait_s=0.0),
+            make_profile(), hierarchy, rng=random.Random(1), connection_budget=budget
         )
         first = resolver.resolve("www.cnn.com", now=0.0)
         assert not first.failed
@@ -251,7 +249,7 @@ class TestResolverBudget:
         assert refused.rcode_name == "REFUSED"
         assert refused.records == ()
         assert refused.duration_s > 0.0  # the refusal itself costs an RTT
-        assert resolver.connections_refused == 1
+        assert budget.shed == 1
 
     def test_queued_query_pays_the_wait(self, hierarchy):
         resolver = RecursiveResolver(
@@ -269,8 +267,8 @@ class TestResolverBudget:
     def test_unbudgeted_resolver_never_refuses(self, hierarchy):
         resolver = RecursiveResolver(make_profile(), hierarchy, rng=random.Random(1))
         for _ in range(5):
-            assert not resolver.resolve("www.cnn.com", now=0.0).failed
-        assert resolver.connections_refused == 0
+            outcome = resolver.resolve("www.cnn.com", now=0.0)
+            assert not outcome.failed and not outcome.resource_exhausted
 
 
 class TestStubUnderPressure:
@@ -282,24 +280,22 @@ class TestStubUnderPressure:
 
     def test_local_shed_never_reaches_the_wire(self, hierarchy):
         upstream = RecursiveResolver(make_profile(), hierarchy, rng=random.Random(1))
-        stub = StubResolver(
-            [(upstream, 1.0)],
-            rng=random.Random(2),
-            connection_budget=self._saturated_budget(),
-        )
+        budget = self._saturated_budget()
+        stub = StubResolver([(upstream, 1.0)], rng=random.Random(2), connection_budget=budget)
         lookup = stub.lookup("www.cnn.com", now=1.0)
         assert lookup.outcome is not None and lookup.outcome.resource_exhausted
         assert not lookup.network_transaction
         assert lookup.duration_s == 0.0
-        assert stub.local_sheds == 1
-        assert upstream.queries_served == 0
+        assert budget.shed == 1
+        assert lookup.resolver_address is None and lookup.resolver_platform is None
 
     def test_refused_fails_over_immediately(self, hierarchy):
+        primary_budget = self._saturated_budget()
         primary = RecursiveResolver(
             make_profile(platform="primary", address="192.0.2.1"),
             hierarchy,
             rng=random.Random(1),
-            connection_budget=self._saturated_budget(),
+            connection_budget=primary_budget,
         )
         secondary = RecursiveResolver(
             make_profile(platform="secondary", address="192.0.2.2"),
@@ -315,7 +311,7 @@ class TestStubUnderPressure:
         assert lookup.outcome is not None and not lookup.outcome.failed
         assert lookup.resolver_platform == "secondary"
         assert lookup.addresses() == ("151.101.1.67",)
-        assert primary.connections_refused == 1
+        assert primary_budget.shed == 1
         # The refusal's cost is charged to the total lookup duration.
         assert lookup.duration_s > lookup.outcome.duration_s
 

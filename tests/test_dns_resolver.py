@@ -104,8 +104,7 @@ class TestRecursiveResolver:
         # population has kept the platform's cache warm.
         resolver.resolve("www.cnn.com", now=0.0)
         outcome = resolver.resolve("www.cnn.com", now=400.0)
-        assert outcome.cache_hit
-        assert resolver.background_hits >= 1
+        assert outcome.cache_hit and outcome.auth_queries == 0
 
     def test_first_ever_query_cannot_background_hit(self, hierarchy):
         resolver = RecursiveResolver(

@@ -8,6 +8,7 @@ recovery paths.
 """
 
 import io
+import math
 import os
 import random
 
@@ -40,6 +41,7 @@ from repro.simulation.faults import (
     RetryPolicy,
 )
 from repro.simulation.latency import LatencyModel
+from repro.simulation.random import derive_seed, poisson_arrivals
 from repro.workload.devices import Device
 from repro.workload.generate import generate_trace
 from repro.workload.households import House
@@ -173,6 +175,37 @@ class TestFaultPlan:
         decision = plan.decide("test", "www.cnn.com", middle)
         assert decision.is_timeout and decision.during_outage
 
+    @pytest.mark.parametrize("rate", [0.5, 2.0, 6.0])
+    @pytest.mark.parametrize("seed", [1, 7, 19, 12345])
+    def test_overlapping_outage_windows_are_honoured(self, seed, rate):
+        """A platform is in outage inside *any* drawn window, also where a
+        later, shorter window ends inside an earlier, longer one. The
+        reference redraws the raw windows from the drawing rule."""
+        horizon_s, duration_s = 21600.0, 300.0
+        config = FaultConfig(outage_rate_per_hour=rate, outage_duration_s=duration_s)
+        plan = FaultPlan(config, seed, platforms=("google",), horizon_s=horizon_s)
+        rng = random.Random(derive_seed(seed, "outage", "google"))
+        raw = [
+            (start, min(start + rng.expovariate(1.0 / duration_s), horizon_s))
+            for start in poisson_arrivals(rng, rate / 3600.0, 0.0, horizon_s)
+        ]
+        assert raw
+        points = []
+        for start, end in raw:
+            points += [start, end, math.nextafter(start, -math.inf), math.nextafter(end, -math.inf)]
+            points += [start + (end - start) * k / 8 for k in range(1, 8)]
+        for now in points:
+            expected = any(start <= now < end for start, end in raw)
+            assert plan.in_outage("google", now) is expected, now
+
+    def test_outage_inside_an_earlier_longer_window(self):
+        config = FaultConfig(outage_rate_per_hour=2.0, outage_duration_s=300.0)
+        plan = FaultPlan(config, 7, platforms=("google",), horizon_s=21600.0)
+        # Seed 7 draws (5610.7, 6103.1) and then (5741.0, 5750.4) inside it.
+        assert plan.in_outage("google", 5926.7)
+        decision = plan.decide("google", "www.cnn.com", 5926.7)
+        assert decision.is_timeout and decision.during_outage
+
     def test_unknown_platform_has_no_outages(self):
         plan = plan_for(horizon_s=36000.0, outage_rate_per_hour=1.0)
         assert plan.outages_for("elsewhere") == ()
@@ -220,7 +253,6 @@ class TestResolverFaults:
         assert outcome.servfail and outcome.failed
         assert outcome.rcode_name == "SERVFAIL"
         assert outcome.records == ()
-        assert resolver.fault_servfails == 1
 
     def test_injected_timeout_has_no_duration(self, hierarchy):
         resolver = RecursiveResolver(
@@ -233,7 +265,6 @@ class TestResolverFaults:
         assert outcome.timed_out and outcome.failed
         assert outcome.rcode_name == "-"
         assert outcome.duration_s == 0.0
-        assert resolver.fault_timeouts == 1
 
     def test_injected_nxdomain_is_not_a_failure(self, hierarchy):
         resolver = RecursiveResolver(

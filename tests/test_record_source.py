@@ -6,8 +6,9 @@ JSON log must stream, tail across a rotation, quarantine a torn line
 and convert like the TSV log does. The file also pins the ingest rules
 the shared line loop owns: a malformed line is named by its line number
 exactly once, Zeek's unset byte counts read as 0, a JSON field of the
-wrong type is a malformed line, and a CRLF log reads alike whole and
-followed.
+wrong type is a malformed line, a CRLF log reads alike whole and
+followed, and a conn row of a flow without TCP or UDP is dropped, not
+malformed.
 """
 
 from __future__ import annotations
@@ -371,3 +372,93 @@ def test_a_crlf_log_reads_alike_whole_and_followed(tmp_path, kind):
         open_records(str(path), kind, follow=True, idle_timeout_s=0.3, poll_interval_s=0.05)
     )
     assert whole == followed == CRLF_RECORDS[kind]
+
+
+# -- flows without TCP or UDP ------------------------------------------------------
+
+#: Zeek's conn rows for flows with no TCP or UDP header, in any case.
+NO_TRANSPORT_ROWS = (
+    ("icmp", 8, 0), ("ICMP", 3, 3), ("unknown_transport", 0, 0), ("Unknown_Transport", 0, 0),
+)
+
+
+def _with_no_transport_rows(src: str, dst: str, fmt: str) -> str:
+    """Copy the conn log at *src* with one row per :data:`NO_TRANSPORT_ROWS`
+    entry spread among its data lines, each at its neighbour's timestamp."""
+    with open(src, encoding="utf-8") as stream:
+        lines = stream.readlines()
+    data = [index for index, line in enumerate(lines) if not line.startswith("#")]
+    picks = [data[0], data[len(data) // 3], data[2 * len(data) // 3], data[-1]]
+    for count, (at, (proto, orig_p, resp_p)) in enumerate(
+        sorted(zip(picks, NO_TRANSPORT_ROWS), reverse=True)
+    ):
+        neighbour = lines[at]
+        if fmt == "json":
+            ts = json.loads(neighbour)["ts"]
+            row = json.dumps({
+                "ts": ts, "uid": f"CX{count}", "id.orig_h": "10.77.0.10", "id.orig_p": orig_p,
+                "id.resp_h": "192.0.2.9", "id.resp_p": resp_p, "proto": proto,
+                "duration": 0.5, "orig_bytes": 64, "resp_bytes": 64, "conn_state": "OTH",
+            }) + "\n"
+        else:
+            ts = neighbour.split("\t")[0]
+            row = f"{ts}\tCX{count}\t10.77.0.10\t{orig_p}\t192.0.2.9\t{resp_p}\t{proto}\t-\t-\t-\t-\tOTH\n"
+        lines.insert(at + 1, row)
+    with open(dst, "w", encoding="utf-8") as stream:
+        stream.writelines(lines)
+    return dst
+
+
+@pytest.mark.parametrize("mode", ["batch", "streaming"])
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_strict_reads_drop_rows_without_tcp_or_udp(logs, tsv_reports, tmp_path, fmt, mode):
+    dns_path, conn_path = logs[fmt]
+    conn = _with_no_transport_rows(conn_path, str(tmp_path / "conn.log"), fmt)
+    code, out, err = _run("analyze", *MODES[mode], "--dns", dns_path, "--conn", conn)
+    assert code == 0, err
+    assert out == tsv_reports[mode]
+    assert err == ""
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_lenient_reads_count_rows_without_tcp_or_udp(logs, tsv_reports, tmp_path, fmt):
+    dns_path, conn_path = logs[fmt]
+    conn = _with_no_transport_rows(conn_path, str(tmp_path / "conn.log"), fmt)
+    clean = len(list(open_records(conn_path, "conn")))
+    report = IngestReport("conn")
+    assert list(open_records(conn, "conn", report=report)) == list(open_records(conn_path, "conn"))
+    assert (report.parsed, report.dropped, report.quarantined) == (clean, 4, [])
+    assert report.ok
+    code, out, err = _run("analyze", "--lenient", "--dns", dns_path, "--conn", conn)
+    assert code == 0, err
+    assert out == tsv_reports["lenient"]
+    assert err == (
+        f"ingest: conn: {clean} records, 4 rows without TCP or UDP dropped, "
+        "no quarantined lines\n"
+    )
+
+
+def test_convert_drops_rows_without_tcp_or_udp(logs, tmp_path):
+    conn_path = logs["tsv"][1]
+    conn = _with_no_transport_rows(conn_path, str(tmp_path / "conn.log"), "tsv")
+    for source, target in ((conn_path, "clean.rblg"), (conn, "dropped.rblg")):
+        code, _, err = _run("convert", source, str(tmp_path / target))
+        assert code == 0, err
+    assert (tmp_path / "dropped.rblg").read_bytes() == (tmp_path / "clean.rblg").read_bytes()
+
+
+def test_other_conn_protocols_stay_malformed(tmp_path, conn_log):
+    dns_path = _dns_log(str(tmp_path / "dns.log"), DNS_ROW)
+    with open(conn_log, encoding="utf-8") as stream:
+        text = stream.read()
+    sctp = str(tmp_path / "sctp.log")
+    with open(sctp, "w", encoding="utf-8") as stream:
+        stream.write(text.replace("\ttcp\t", "\tsctp\t"))
+    code, _, err = _run("analyze", "--dns", dns_path, "--conn", sctp)
+    assert code == EXIT_DATA
+    assert "unknown protocol 'sctp'" in err
+    # A DNS row never travels without TCP or UDP.
+    icmp = DNS_ROW.replace("\tudp\t", "\ticmp\t")
+    code, _, err = _run("analyze", "--dns", _dns_log(str(tmp_path / "d2.log"), icmp), "--conn", conn_log)
+    assert code == EXIT_DATA
+    assert "unknown protocol 'icmp'" in err

@@ -27,9 +27,9 @@ class TestEngine:
     def test_events_fire_in_time_order(self):
         engine = SimulationEngine()
         fired = []
-        engine.schedule(5.0, lambda: fired.append("b"))
-        engine.schedule(1.0, lambda: fired.append("a"))
-        engine.schedule(9.0, lambda: fired.append("c"))
+        engine.schedule_at(5.0, lambda when: fired.append("b"))
+        engine.schedule_at(1.0, lambda when: fired.append("a"))
+        engine.schedule_at(9.0, lambda when: fired.append("c"))
         engine.run()
         assert fired == ["a", "b", "c"]
 
@@ -37,77 +37,115 @@ class TestEngine:
         engine = SimulationEngine()
         fired = []
         for label in "abc":
-            engine.schedule(1.0, lambda label=label: fired.append(label))
+            engine.schedule_at(1.0, lambda when, label=label: fired.append(label))
         engine.run()
         assert fired == ["a", "b", "c"]
 
     def test_now_advances(self):
         engine = SimulationEngine()
         seen = []
-        engine.schedule(3.5, lambda: seen.append(engine.now))
+        engine.schedule_at(3.5, seen.append)
         engine.run()
         assert seen == [3.5]
+        with pytest.raises(SimulationError):
+            engine.schedule_at(3.0, seen.append)
 
     def test_run_until_stops_before_later_events(self):
         engine = SimulationEngine()
         fired = []
-        engine.schedule(1.0, lambda: fired.append(1))
-        engine.schedule(10.0, lambda: fired.append(10))
-        engine.run(until=5.0)
-        assert fired == [1]
-        assert engine.now == 5.0
-        engine.run()
-        assert fired == [1, 10]
+        engine.schedule_at(1.0, fired.append)
+        engine.schedule_at(10.0, fired.append)
+        assert engine.run(until=5.0) == 1
+        assert fired == [1.0]
+        # Time advanced to *until*: an event before it is in the past.
+        with pytest.raises(SimulationError):
+            engine.schedule_at(4.0, fired.append)
+        engine.schedule_at(5.0, fired.append)
+        assert engine.run() == 2
+        assert fired == [1.0, 5.0, 10.0]
 
     def test_events_can_schedule_events(self):
         engine = SimulationEngine()
         fired = []
 
-        def first():
-            fired.append("first")
-            engine.schedule(1.0, lambda: fired.append("second"))
+        def first(when):
+            fired.append(("first", when))
+            engine.schedule_at(when + 1.0, lambda later: fired.append(("second", later)))
 
-        engine.schedule(1.0, first)
-        engine.run()
-        assert fired == ["first", "second"]
-        assert engine.now == 2.0
-
-    def test_cancelled_events_do_not_fire(self):
-        engine = SimulationEngine()
-        fired = []
-        handle = engine.schedule(1.0, lambda: fired.append("x"))
-        handle.cancel()
-        engine.run()
-        assert fired == []
-        assert handle.cancelled
+        engine.schedule_at(1.0, first)
+        assert engine.run() == 2
+        assert fired == [("first", 1.0), ("second", 2.0)]
 
     def test_cannot_schedule_in_the_past(self):
-        engine = SimulationEngine(start_time=10.0)
-        with pytest.raises(SimulationError):
-            engine.schedule_at(5.0, lambda: None)
-        with pytest.raises(SimulationError):
-            engine.schedule(-1.0, lambda: None)
-
-    def test_max_events_limit(self):
         engine = SimulationEngine()
-        for i in range(10):
-            engine.schedule(float(i), lambda: None)
-        processed = engine.run(max_events=4)
-        assert processed == 4
-        assert engine.pending() == 6
+        engine.run(until=10.0)
+        with pytest.raises(SimulationError):
+            engine.schedule_at(5.0, lambda when: None)
+        engine.schedule_at(10.0, lambda when: None)
 
     def test_reentrant_run_rejected(self):
         engine = SimulationEngine()
 
-        def evil():
+        def evil(when):
             engine.run()
 
-        engine.schedule(1.0, evil)
+        engine.schedule_at(1.0, evil)
         with pytest.raises(SimulationError):
             engine.run()
 
-    def test_step_on_empty_returns_false(self):
-        assert not SimulationEngine().step()
+    @settings(max_examples=200, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=5),
+                st.lists(st.integers(min_value=0, max_value=3), max_size=3),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        until=st.integers(min_value=0, max_value=12),
+        stale=st.integers(min_value=0, max_value=12),
+    )
+    def test_schedules_fire_in_time_then_insertion_order(self, events, until, stale):
+        """Random schedules with ties and events scheduled from callbacks:
+        each callback receives its own time, events fire in ``(time,
+        insertion)`` order, ``run(until)`` fires exactly those at or before
+        *until* and leaves the rest to the next ``run``, and a time before
+        the current one is refused."""
+        engine = SimulationEngine()
+        fired = []
+        scheduled = []
+
+        def schedule(when, children):
+            index = len(scheduled)
+            scheduled.append(when)
+
+            def callback(now):
+                fired.append((index, now))
+                for delay in children:
+                    schedule(now + delay, ())
+
+            engine.schedule_at(when, callback)
+
+        for slot, children in events:
+            schedule(float(slot), children)
+        first = engine.run(until=float(until))
+        second_from = len(fired)
+        if stale < until:
+            with pytest.raises(SimulationError):
+                engine.schedule_at(float(stale), lambda when: None)
+        second = engine.run()
+        assert first == second_from and first + second == len(fired) == len(scheduled)
+        assert all(now == scheduled[index] for index, now in fired)
+        assert all(now <= until for _, now in fired[:first])
+        assert all(now > until for _, now in fired[first:])
+        # Insertion order breaks ties: an event's index is its sequence.
+        for run in (fired[:first], fired[first:]):
+            assert run == sorted(run, key=lambda item: (item[1], item[0]))
+        # Every event scheduled before the first run at or before
+        # *until* fired in it (later ones can only be children).
+        early = {index for index, (slot, _) in enumerate(events) if slot <= until}
+        assert early <= {index for index, _ in fired[:first]}
 
 
 class TestLatency:
@@ -209,145 +247,3 @@ class TestDistributions:
     @settings(max_examples=30)
     def test_zipf_weights_positive(self, count, exponent):
         assert all(w > 0 for w in zipf_weights(count, exponent))
-
-
-class TestEngineCompaction:
-    """Lazy deletion must be invisible: same firing order, exact pending()."""
-
-    def test_compaction_drops_cancelled_entries(self):
-        engine = SimulationEngine()
-        handles = [engine.schedule(float(i), lambda: None) for i in range(10)]
-        for handle in handles[:6]:
-            handle.cancel()
-        # Once cancelled entries outnumber live ones the heap compacts,
-        # so the queue physically holds only the four live events.
-        assert len(engine._queue) == 4
-        assert engine._cancelled_count == 0
-        assert engine.pending() == 4
-
-    def test_pending_matches_events_that_fire(self):
-        engine = SimulationEngine()
-        fired = []
-        handles = [
-            engine.schedule(float(i % 3), lambda i=i: fired.append(i)) for i in range(12)
-        ]
-        for handle in handles[::2]:
-            handle.cancel()
-        live = engine.pending()
-        assert live == 6
-        assert engine.run() == live
-        assert len(fired) == live
-        assert engine.pending() == 0
-
-    def test_cancel_after_compaction_is_noop(self):
-        engine = SimulationEngine()
-        fired = []
-        engine.schedule(5.0, lambda: fired.append("keep"))
-        doomed = [engine.schedule(1.0, lambda: fired.append("doomed")) for _ in range(4)]
-        for handle in doomed:
-            handle.cancel()  # triggers compaction part-way through
-        assert engine.pending() == 1
-        queue_len = len(engine._queue)
-        cancelled_count = engine._cancelled_count
-        for handle in doomed:
-            handle.cancel()  # repeat cancels (some on detached entries): no-ops
-            assert handle.cancelled
-        assert engine._cancelled_count == cancelled_count
-        assert len(engine._queue) == queue_len
-        assert engine.pending() == 1
-        engine.run()
-        assert fired == ["keep"]
-
-    def test_cancel_survivor_after_compaction(self):
-        engine = SimulationEngine()
-        fired = []
-        engine.schedule(1.0, lambda: fired.append("a"))
-        survivor = engine.schedule(2.0, lambda: fired.append("b"))
-        garbage = [engine.schedule(3.0, lambda: fired.append("g")) for _ in range(6)]
-        for handle in garbage:
-            handle.cancel()  # forces at least one compaction
-        survivor.cancel()  # handle must still reach the re-heapified entry
-        engine.run()
-        assert fired == ["a"]
-
-    def test_compaction_from_callback_mid_run(self):
-        """Compaction triggered *inside* an event callback must not detach
-        the queue run() is draining: events the callback schedules after
-        the compaction still fire in the same run, and the cancelled
-        accounting stays exact (regression: a _compact that rebound
-        self._queue left run() on a stale snapshot, silently dropping the
-        rescheduled event and driving _cancelled_count negative)."""
-        engine = SimulationEngine()
-        fired = []
-        doomed = [engine.schedule(5.0, lambda: fired.append("doomed")) for _ in range(8)]
-
-        def cancel_and_reschedule():
-            fired.append("first")
-            for handle in doomed:
-                handle.cancel()  # compaction triggers part-way through
-            engine.schedule(2.0, lambda: fired.append("late"))
-
-        engine.schedule(1.0, cancel_and_reschedule)
-        processed = engine.run(until=100.0)
-        assert fired == ["first", "late"]
-        assert processed == 2
-        assert engine._cancelled_count == 0
-        assert engine.pending() == 0
-
-    def test_cancel_from_callback_then_cancel_again_mid_run(self):
-        """Cancelling an already-compacted-away handle from a later
-        callback in the same run stays a no-op and never corrupts the
-        pending() bookkeeping."""
-        engine = SimulationEngine()
-        fired = []
-        doomed = [engine.schedule(9.0, lambda: fired.append("doomed")) for _ in range(6)]
-
-        def first():
-            for handle in doomed:
-                handle.cancel()  # forces at least one compaction
-
-        def second():
-            for handle in doomed:
-                handle.cancel()  # repeat cancels on detached entries
-            fired.append("second")
-
-        engine.schedule(1.0, first)
-        engine.schedule(2.0, second)
-        engine.run()
-        assert fired == ["second"]
-        assert engine._cancelled_count == 0
-        assert engine.pending() == 0
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        events=st.lists(
-            st.tuples(st.integers(min_value=0, max_value=3), st.booleans()),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    def test_insertion_order_invariant_across_compaction(self, events):
-        """Equal-timestamp events fire in insertion order, cancelled ones
-        never fire, regardless of how many compactions the cancellation
-        pattern triggers along the way."""
-        engine = SimulationEngine()
-        fired = []
-        handles = []
-        for index, (slot, _) in enumerate(events):
-            handles.append(
-                engine.schedule(float(slot), lambda index=index: fired.append(index))
-            )
-        for handle, (_, cancel) in zip(handles, events):
-            if cancel:
-                handle.cancel()
-        expected = [
-            index
-            for index, (slot, cancel) in sorted(
-                enumerate(events), key=lambda item: (item[1][0], item[0])
-            )
-            if not cancel
-        ]
-        assert engine.pending() == len(expected)
-        engine.run()
-        assert fired == expected
-        assert engine.pending() == 0

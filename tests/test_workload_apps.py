@@ -116,7 +116,7 @@ class TestWebBrowsing:
         WebBrowsingModel(universe, BrowsingConfig(sessions_per_hour=0.0)).schedule(
             device, engine, 0.0, HORIZON
         )
-        assert engine.pending() == 0
+        assert engine.run() == 0
 
 
 class TestApiPolling:
