@@ -630,8 +630,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         help="with --streaming: analysis worker processes; >1 shards the "
-        "logs by household and merges byte-identical results (default 1; "
-        "the batch analysis runs in one process and accepts only 1)",
+        "logs by household and merges the shards, and with --exact-stats "
+        "prints the same bytes as 1 (the sketch summary's SC/R split and "
+        "peak live count depend on the shard count); default 1, and the "
+        "batch analysis runs in one process and accepts only 1",
     )
     _add_streaming_arguments(analyze)
     analyze.set_defaults(func=cmd_analyze)

@@ -68,7 +68,7 @@ from repro.monitor.records import ConnRecord, DnsRecord
 CHECKPOINT_MAGIC = "repro-stream-ckpt"
 """First header field of every checkpoint file."""
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 """Bumped on any incompatible change to the header or payload layout.
 
 Version 2: pairing-index expiry entries hold one shared candidate per
@@ -80,6 +80,8 @@ into the header, lost its sketch-epsilon and drain-interval fields; the
 engine reads ``DEFAULT_SKETCH_EPSILON`` and ``DEFAULT_DRAIN_INTERVAL_S``.
 Version 5: the resolver observer lost its per-resolver failed-lookup
 tally (the failure stats count failures by outcome).
+Version 6: the pairing index holds the analysis window, which decides
+at pairing time which expired fallbacks a connection may use.
 """
 
 DEFAULT_CHECKPOINT_INTERVAL_S = 172800.0

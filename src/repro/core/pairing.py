@@ -119,9 +119,18 @@ class DnsIndex:
     fallback) need to survive. Both are retained — as an integer and a
     one-candidate tail — so incremental pairing after any number of
     drains matches :class:`Pairer` over the full history bit-for-bit.
+
+    *window_s* bounds the expired fallback: a connection at ``t`` may
+    fall back only on a lookup that completed at or after ``t -
+    window_s``. :meth:`viable_candidates` decides this, so pairing does
+    not depend on when drains run; a drain drops the tails no later
+    connection may use, which only saves memory.
     """
 
-    def __init__(self, dns_records: Sequence[DnsRecord] = ()) -> None:
+    def __init__(
+        self, dns_records: Sequence[DnsRecord] = (), window_s: float | None = None
+    ) -> None:
+        self.window_s = window_s
         self._by_house_address: dict[tuple[str, str], list[_Candidate]] = {}
         self.failed_records = 0
         # Lookups reachable through a bucket or an expired-fallback
@@ -221,7 +230,8 @@ class DnsIndex:
         candidates in completed-time order, the number of expired
         candidates considered (evicted ones included), and — only when
         no candidate is viable — the most recent expired candidate, or
-        None when the connection is unpairable.
+        None when the connection is unpairable or that candidate
+        completed more than the index's window before *when*.
         """
         if when < self._drained_to_s:
             raise AnalysisError(
@@ -245,17 +255,23 @@ class DnsIndex:
             or (tail.completed_at, tail.seq) > (fallback.completed_at, fallback.seq)
         ):
             fallback = tail
+        if (
+            fallback is not None
+            and self.window_s is not None
+            and fallback.completed_at < when - self.window_s
+        ):
+            fallback = None
         return [], expired_count, fallback
 
     def drain_expired(self, now_s: float, window_s: float | None = None) -> list[_Candidate]:
         """Evict candidates expired at *now_s*; return the retired ones.
 
         Evicted candidates leave only an integer count and a per-key
-        most-recent-expired tail behind (see the class docstring). With
-        *window_s*, tails whose lookups completed more than a window ago
-        are dropped too — bounding memory strictly, at the cost of exact
-        batch parity for expired-fallback pairings with gaps beyond the
-        window. A lookup with no remaining candidacy anywhere is
+        most-recent-expired tail behind (see the class docstring).
+        Tails whose lookups completed more than *window_s* (by default
+        the index's own window) before *now_s* are dropped too: no
+        later connection may fall back on them, so memory stays
+        bounded. A lookup with no remaining candidacy anywhere is
         *retired*: its candidate is returned exactly once, and can never
         pair with any future connection.
         """
@@ -264,6 +280,8 @@ class DnsIndex:
                 f"drain time must not regress: {now_s} before {self._drained_to_s}"
             )
         self._drained_to_s = now_s
+        if window_s is None:
+            window_s = self.window_s
         retired: list[_Candidate] = []
         while self._expiry_heap and self._expiry_heap[0][0] <= now_s:
             _, _, candidate, keys = heapq.heappop(self._expiry_heap)
@@ -326,6 +344,7 @@ class Pairer:
     The random policy draws from per-house streams derived from *seed*,
     so a house's pairings do not depend on which other houses share the
     trace (the shard-invariance contract of household sharding).
+    *window_s* bounds the expired fallback (see :class:`DnsIndex`).
     """
 
     def __init__(
@@ -333,8 +352,9 @@ class Pairer:
         dns_records: Sequence[DnsRecord] = (),
         policy: PairingPolicy = PairingPolicy.MOST_RECENT,
         seed: int = 0,
+        window_s: float | None = None,
     ) -> None:
-        self.index = DnsIndex(dns_records)
+        self.index = DnsIndex(dns_records, window_s)
         # Per-house random streams; None under the most-recent policy.
         self._streams: RandomStreams | None = None
         if policy == PairingPolicy.RANDOM_NON_EXPIRED:

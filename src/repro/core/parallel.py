@@ -17,16 +17,18 @@ sharded trace generation:
 * :func:`run_scenarios` is the one fan-out: fork-started processes
   under :func:`repro.supervise.supervise` (heartbeats, bounded
   restarts, a serial retry in the parent). Fork is the only parallel
-  start method; without it, as on a 1-CPU host, the fan-out runs its
-  serial loop.
+  start method; without it, as on a 1-CPU host or inside another
+  fan-out, the fan-out runs its serial loop.
 
-**Determinism contract**: results are byte-identical for any worker
-count. Every merged statistic is an integer count, an order-invariant
-statistic over a concatenated sample, or derived from one of those; the
-random pairing policy draws from per-house seeded streams
-(``derive_seed(seed, "pairing") -> house``), so no draw depends on which
-shard — or which other households — a house is processed with. Workers
-never read the wall clock or global RNG state.
+**Determinism contract**: exact results are byte-identical for any
+worker count (the sketch summary's running-threshold SC/R split and
+its peak live count depend on the shard count). Every merged statistic
+is an integer count, an order-invariant statistic over a concatenated
+sample, or derived from one of those; the random pairing policy draws
+from per-house seeded streams (``derive_seed(seed, "pairing") ->
+house``), so no draw depends on which shard — or which other
+households — a house is processed with. Workers never read the wall
+clock or global RNG state.
 """
 
 from __future__ import annotations
@@ -68,10 +70,10 @@ def _available_cpus() -> int:
     """CPUs this process may actually run on (affinity-aware, >= 1).
 
     A module-level seam on purpose: tests on constrained hosts
-    monkeypatch it to exercise the fork paths, and the clamp in
-    :func:`run_scenarios` reads it so a 1-CPU container degrades to the
-    serial path instead of paying fork-and-pickle overhead for a
-    slower-than-serial "parallel" run.
+    monkeypatch it to exercise the fork paths, and
+    :func:`effective_worker_count` reads it so a 1-CPU container
+    degrades to the serial path instead of paying fork-and-pickle
+    overhead for a slower-than-serial "parallel" run.
     """
     if hasattr(os, "sched_getaffinity"):
         return max(1, len(os.sched_getaffinity(0)))
@@ -213,24 +215,13 @@ def shard_by_household(
     return parts
 
 
-#: Scenario fan-out state: ``(task callable, config list)`` of the one
-#: fan-out this process is running. The supervisor hands tasks to
-#: children directly (copy-on-write, no lookup needed); this slot is
-#: the process-wide *guard* against nested or concurrent
-#: multi-worker sweeps, which would interleave two supervisors over the
-#: same CPU budget and deadlock a 1-slot host.
-_SCENARIO_FANOUT: tuple[Callable, list] | None = None  # repro-lint: fork-shared(set in the parent before fork, read-only in workers, cleared in run_scenarios' finally; the not-None guard rejects nested fan-out)
-
-
-def in_scenario_fanout() -> bool:
-    """Is this process currently inside a :func:`run_scenarios` fan-out?
-
-    True both in the parent while its fan-out is live and in a forked
-    worker (which inherits the parent's slot). Nested callers — e.g.
-    sharded trace generation invoked from a sweep task — use this to
-    degrade to their serial path instead of tripping the nesting guard.
-    """
-    return _SCENARIO_FANOUT is not None
+#: Is this process running a :func:`run_scenarios` fan-out? True in
+#: the parent while its fan-out is live and in every forked worker,
+#: which inherits it, so a nested call (a sweep task that generates
+#: or analyses with workers) runs its serial loop instead of starting
+#: processes from a daemonic worker or a second supervisor over the
+#: same CPUs.
+_FANNING_OUT = False  # repro-lint: fork-shared(a bool set in the parent before fork and reset in run_scenarios' finally; workers only read the inherited copy)
 
 
 def run_scenarios(configs: Sequence, task: Callable, workers: int = 1) -> list:
@@ -252,56 +243,35 @@ def run_scenarios(configs: Sequence, task: Callable, workers: int = 1) -> list:
     worker runs under :func:`repro.supervise.supervise`: a scenario
     whose worker dies is restarted, then retried serially in the parent.
 
-    Fork is the only parallel start method: without it the fan-out runs
-    the serial loop. Requested workers are also clamped to the CPUs
-    actually available to the process (one line on stderr records the
-    reduction): oversubscribing a smaller host makes the "parallel"
-    sweep slower than the serial loop, and on a 1-CPU host the clamp
-    degrades all the way to the serial loop — with byte-identical
-    results either way.
+    The serial loop runs whenever the call cannot fan out: one
+    effective worker (:func:`effective_worker_count`; one line on
+    stderr records a CPU clamp), at most one config, no fork start
+    method, or a fan-out already live in this process — the one rule
+    for a fan-out inside a fan-out. The results are the same either way.
     """
+    global _FANNING_OUT
     configs = list(configs)
-    if workers < 1:
-        raise AnalysisError(f"worker count must be positive, got {workers}")
-    cpu_limit = _available_cpus()
-    if workers > cpu_limit:
+    effective = effective_worker_count(workers)
+    if effective < workers:
         print(
-            f"run_scenarios: reducing workers {workers} -> {cpu_limit} "
-            f"({cpu_limit} CPU(s) available)",
+            f"run_scenarios: reducing workers {workers} -> {effective} "
+            f"({effective} CPU(s) available)",
             file=sys.stderr,
         )
-        workers = cpu_limit
     if (
-        workers == 1
+        effective == 1
         or len(configs) <= 1
+        or _FANNING_OUT
         or "fork" not in multiprocessing.get_all_start_methods()
     ):
         return [task(config) for config in configs]
-    global _SCENARIO_FANOUT
-    if _SCENARIO_FANOUT is not None:
-        # The fan-out state is a process-wide single slot; a task that
-        # itself calls run_scenarios (or a second thread fanning out
-        # concurrently) would overwrite it and dispatch the wrong
-        # scenarios. Fail loudly instead of corrupting results.
-        raise AnalysisError(
-            "run_scenarios() is already fanning out in this process; "
-            "nested or concurrent multi-worker sweeps are not supported "
-            "(run the inner call with workers=1)"
-        )
-    # Assign inside the try so any failure path (gc.freeze, process
-    # spawn) still clears the slot — a leaked fan-out would make the
-    # not-None nesting guard above reject every later sweep in this
-    # process.
     try:
-        _SCENARIO_FANOUT = (task, configs)
+        _FANNING_OUT = True
         gc.freeze()
-        results, _report = supervise(
-            configs, task, min(workers, len(configs)), label="scenario"
-        )
-        return results
+        return supervise(configs, task, effective)
     finally:
         gc.unfreeze()
-        _SCENARIO_FANOUT = None
+        _FANNING_OUT = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -309,8 +279,8 @@ class StreamingShardTask:
     """One household shard of a streaming run (a `run_scenarios` config)."""
 
     shard_id: int
-    dns_records: tuple[DnsRecord, ...]
-    conns: tuple[ConnRecord, ...]
+    dns_records: list[DnsRecord]
+    conns: list[ConnRecord]
     config: StreamingConfig
 
 
@@ -364,12 +334,7 @@ def _run_streaming(
     shard_count = max(1, min(workers * DEFAULT_SHARDS_PER_WORKER, len(houses)))
     parts = shard_by_household(dns_list, conn_list, shard_count)
     tasks = [
-        StreamingShardTask(
-            shard_id=shard_id,
-            dns_records=tuple(dns_part),
-            conns=tuple(conn_part),
-            config=config,
-        )
+        StreamingShardTask(shard_id, dns_part, conn_part, config)
         for shard_id, (dns_part, conn_part) in enumerate(parts)
     ]
     return StreamingState.merge(run_scenarios(tasks, _stream_shard, workers))

@@ -43,13 +43,16 @@ certified rank-error bound (:func:`finalize_summary`).
 **Windowing.** ``window_s=None`` evicts only TTL-dead candidates and
 keeps one expired-fallback tail per (house, address) key, which
 preserves reference parity unconditionally. A finite ``window_s``
-additionally drops fallback tails older than the window: memory is then
-strictly bounded, and results are unchanged for any trace whose
-pairing gaps fit inside the window (the window-invariance property the
-differential suite pins). Pick the window with some slack above the
-largest expected gap — the drain horizon is the floating-point
-difference ``now - window_s``, so a gap exactly equal to the window
-sits one rounding error from the eviction boundary.
+bounds the expired fallback: a connection at ``t`` falls back only on
+a lookup that completed at or after ``t - window_s``. The pairing
+index decides this when it pairs, so results are the same for every
+drain interval and worker count, and drains drop the tails no later
+connection may use, so memory is strictly bounded. Results are
+unchanged for any trace whose pairing gaps fit inside the window (the
+window-invariance property the differential suite pins). Pick the
+window with some slack above the largest expected gap — the boundary
+is the floating-point difference ``t - window_s``, so a gap exactly
+equal to the window sits one rounding error from it.
 
 **Sharding.** :class:`StreamingState` is the analyzer's mergeable
 accumulator: household shards stream independently and
@@ -87,7 +90,8 @@ from repro.monitor.records import ConnRecord, DnsRecord
 DEFAULT_DRAIN_INTERVAL_S = 60.0
 """How often (stream seconds) TTL-expired index state is evicted.
 
-A pure performance knob: results are drain-schedule invariant."""
+A pure performance knob: results are drain-schedule invariant, with
+or without a window (the pairing index applies the window itself)."""
 
 DEFAULT_SKETCH_EPSILON = 0.01
 """Certified rank-error budget of the sketch-mode quantile sketches."""
@@ -423,7 +427,11 @@ class StreamingAnalyzer:
     def __init__(self, config: StreamingConfig | None = None) -> None:
         self.config = config if config is not None else StreamingConfig()
         options = self.config.options
-        self.pairer = Pairer(policy=options.pairing_policy, seed=options.pairing_seed)
+        self.pairer = Pairer(
+            policy=options.pairing_policy,
+            seed=options.pairing_seed,
+            window_s=self.config.window_s,
+        )
         self._blocking_threshold = options.classifier.blocking_threshold
         self.state = StreamingState(exact=self.config.exact)
         if not self.config.exact:
@@ -452,9 +460,7 @@ class StreamingAnalyzer:
             return
         if now_s < self._next_drain_s:
             return
-        self.state.unused_lookups += len(
-            self.pairer.drain_expired(now_s, window_s=self.config.window_s)
-        )
+        self.state.unused_lookups += len(self.pairer.drain_expired(now_s))
         while self._next_drain_s <= now_s:
             self._next_drain_s += DEFAULT_DRAIN_INTERVAL_S
 

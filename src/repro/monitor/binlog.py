@@ -110,11 +110,17 @@ def _read_array(buffer, offset: int, typecode: str, count: int) -> tuple[array, 
     nbytes = values.itemsize * count
     chunk = buffer[offset : offset + nbytes]
     if len(chunk) != nbytes:
-        raise LogFormatError("binlog block payload truncated")
+        raise ValueError("payload truncated")
     values.frombytes(chunk)
     if sys.byteorder == "big":
         values.byteswap()
     return values, offset + nbytes
+
+
+def _read_u32(buffer, offset: int) -> tuple[int, int]:
+    """Decode one little-endian ``u32`` at *offset*."""
+    values, offset = _read_array(buffer, offset, "I", 1)
+    return values[0], offset
 
 
 class _Dictionary:
@@ -145,12 +151,11 @@ class _Dictionary:
 
 
 def _decode_dictionary(buffer, offset: int) -> tuple[list[str], int]:
-    (count,) = _U32.unpack_from(buffer[offset : offset + 4])
-    offset += 4
+    count, offset = _read_u32(buffer, offset)
     offsets, offset = _read_array(buffer, offset, "I", count + 1)
     blob = bytes(buffer[offset : offset + offsets[-1]]) if count else b""
     if count and len(blob) != offsets[-1]:
-        raise LogFormatError("binlog dictionary truncated")
+        raise ValueError("dictionary truncated")
     strings = [
         blob[offsets[i] : offsets[i + 1]].decode("utf-8") for i in range(count)
     ]
@@ -236,8 +241,7 @@ def _decode_dns_block(buffer, count: int) -> list[DnsRecord]:
     qtype, offset = _read_array(buffer, offset, "I", count)
     rcode, offset = _read_array(buffer, offset, "I", count)
     answer_counts, offset = _read_array(buffer, offset, "H", count)
-    (total,) = _U32.unpack_from(buffer[offset : offset + 4])
-    offset += 4
+    total, offset = _read_u32(buffer, offset)
     answer_data, offset = _read_array(buffer, offset, "I", total)
     answer_ttl, offset = _read_array(buffer, offset, "d", total)
     answer_type, offset = _read_array(buffer, offset, "I", total)
@@ -265,9 +269,7 @@ def _decode_dns_block(buffer, count: int) -> list[DnsRecord]:
         else:
             append(empty)
     if cursor != total:
-        raise LogFormatError(
-            f"binlog answer vectors inconsistent: {cursor} used of {total}"
-        )
+        raise ValueError(f"answer vectors inconsistent: {cursor} used of {total}")
     return list(
         map(
             DnsRecord,
@@ -487,8 +489,16 @@ def _iter_blocks(buffer, expect_kind: int) -> Iterator[list]:
             raise LogFormatError(f"binlog block {block}: truncated payload")
         if zlib.crc32(payload) != checksum:
             raise LogFormatError(f"binlog block {block}: checksum mismatch")
+        # A CRC-valid block can still be crafted. The decoders raise
+        # ValueError for a malformed column and IndexError for a proto
+        # code or string reference past its table, so no record pays
+        # for a range check.
         try:
             records = decode(payload, count)
+        except IndexError as exc:
+            raise LogFormatError(
+                f"binlog block {block}: proto code or string reference out of range"
+            ) from exc
         except ValueError as exc:
             raise LogFormatError(f"binlog block {block}: {exc}") from exc
         yield records

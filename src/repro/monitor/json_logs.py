@@ -74,6 +74,8 @@ def _load_object(line: str) -> dict:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
         raise LogFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise LogFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(payload, dict):
         raise LogFormatError("expected a JSON object")
     return payload

@@ -11,15 +11,16 @@ handles both:
 * **One process per attempt.** Each task attempt runs in a fresh
   fork-started process; arguments travel through copy-on-write memory
   (closures work), results come back over a per-attempt pipe.
-* **Heartbeats and deadlines.** A daemon thread in each worker stamps a
-  shared monotonic heartbeat; the parent kills workers whose heartbeat
-  goes stale (hang detection even when the main thread is stuck in C)
-  or whose total runtime exceeds an optional hard deadline.
+* **Heartbeats.** A daemon thread in each worker stamps a shared
+  monotonic heartbeat every :data:`HEARTBEAT_INTERVAL_S`; the parent
+  kills a worker whose heartbeat is older than
+  :data:`HEARTBEAT_TIMEOUT_S` (hang detection even when the main
+  thread is stuck in C).
 * **Bounded restarts with seeded backoff.** A failed attempt is retried
-  in a new process at most ``max_restarts`` times, after a backoff
+  in a new process at most :data:`MAX_RESTARTS` times, after a backoff
   whose jitter comes from :func:`~repro.simulation.random.derive_seed`
-  — deterministic per (seed, task, attempt), like every other random
-  draw in this repo.
+  — deterministic per (task, attempt), like every other random draw in
+  this repo.
 * **Quarantine, not hangs.** A task that exhausts its budget on
   crash-type failures gets one final *serial* attempt in the parent
   (the exact ``workers=1`` code path, so results stay byte-identical).
@@ -31,8 +32,9 @@ handles both:
   everywhere) skips restarts entirely and re-raises the real error
   from the parent attempt.
 
-Every outcome is recorded in a :class:`SupervisionReport` so callers
-can surface per-task attempts/failures as run provenance.
+The timings are module constants, not arguments: no caller tunes them,
+and tests monkeypatch them (a forked worker inherits the patched
+values).
 
 This module deliberately lives *outside* ``repro.core``: supervision is
 wall-clock business (timeouts, backoff sleeps), and the repo invariant
@@ -56,6 +58,24 @@ import pickle
 from repro.errors import AnalysisError, ReproError, SupervisionError
 from repro.simulation.random import derive_seed
 
+MAX_RESTARTS = 1
+"""Worker attempts after a task's first before it is quarantined."""
+
+HEARTBEAT_INTERVAL_S = 0.5
+"""How often a worker's heartbeat thread stamps the shared clock."""
+
+HEARTBEAT_TIMEOUT_S = 30.0
+"""A worker whose heartbeat is older than this is killed as hung."""
+
+BACKOFF_BASE_S = 0.05
+"""Backoff before a task's first restart; doubles per attempt."""
+
+BACKOFF_CAP_S = 1.0
+"""Longest backoff before any restart."""
+
+POLL_INTERVAL_S = 0.02
+"""How long the parent sleeps when no worker made progress."""
+
 #: Failures a worker reports over its pipe (everything a task or the
 #: result pickling plausibly raises). Anything more exotic simply kills
 #: the process, and the supervisor's exitcode backstop treats the death
@@ -75,72 +95,10 @@ _REPORTABLE_FAILURES = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class SupervisorPolicy:
-    """Restart/deadline/heartbeat knobs of one supervised fan-out."""
-
-    max_restarts: int = 1
-    deadline_s: float | None = None
-    heartbeat_interval_s: float = 0.5
-    heartbeat_timeout_s: float = 30.0
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 1.0
-    poll_interval_s: float = 0.02
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_restarts < 0:
-            raise AnalysisError(f"max_restarts cannot be negative, got {self.max_restarts}")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise AnalysisError(f"deadline must be positive, got {self.deadline_s}")
-        if self.heartbeat_interval_s <= 0 or self.heartbeat_timeout_s <= 0:
-            raise AnalysisError("heartbeat interval and timeout must be positive")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < self.backoff_base_s:
-            raise AnalysisError("backoff cap must be >= base >= 0")
-
-
-@dataclass(frozen=True, slots=True)
-class TaskRecord:
-    """Provenance of one supervised task: attempts and their failures."""
-
-    index: int
-    attempts: int
-    failures: tuple[str, ...]
-    recovered: bool
-
-    @property
-    def clean(self) -> bool:
-        """Did the first worker attempt succeed outright?"""
-        return not self.failures
-
-
-@dataclass(frozen=True, slots=True)
-class SupervisionReport:
-    """What a supervised fan-out actually did, task by task."""
-
-    label: str
-    tasks: tuple[TaskRecord, ...]
-
-    @property
-    def restarts(self) -> int:
-        """Worker attempts beyond each task's first."""
-        return sum(record.attempts - 1 for record in self.tasks)
-
-    @property
-    def recovered_indices(self) -> tuple[int, ...]:
-        """Tasks whose result came from the parent's serial retry."""
-        return tuple(record.index for record in self.tasks if record.recovered)
-
-    @property
-    def clean(self) -> bool:
-        """True when no task failed any attempt."""
-        return all(record.clean for record in self.tasks)
-
-
-def backoff_delay_s(policy: SupervisorPolicy, index: int, attempt: int) -> float:
+def backoff_delay_s(index: int, attempt: int) -> float:
     """Exponential backoff with deterministic per-(task, attempt) jitter."""
-    base = min(policy.backoff_cap_s, policy.backoff_base_s * (2 ** (attempt - 1)))
-    rng = random.Random(derive_seed(policy.seed, "supervisor-backoff", index, attempt))
+    base = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** (attempt - 1)))
+    rng = random.Random(derive_seed(0, "supervisor-backoff", index, attempt))
     return base * (0.5 + rng.random() / 2)
 
 
@@ -155,13 +113,7 @@ def _send(conn: Any, message: tuple) -> None:
             pass
 
 
-def _child_main(
-    run: Callable[[Any], Any],
-    task: Any,
-    conn: Any,
-    heartbeat: Any,
-    interval_s: float,
-) -> None:
+def _child_main(run: Callable[[Any], Any], task: Any, conn: Any, heartbeat: Any) -> None:
     """Worker process body: heartbeat thread + one task attempt.
 
     Failures in :data:`_REPORTABLE_FAILURES` are reported over the pipe
@@ -175,7 +127,7 @@ def _child_main(
     def _beat() -> None:
         while not stop.is_set():
             heartbeat.value = time.monotonic()
-            stop.wait(interval_s)
+            stop.wait(HEARTBEAT_INTERVAL_S)
 
     threading.Thread(target=_beat, daemon=True, name="supervise-heartbeat").start()
     try:
@@ -204,19 +156,13 @@ class _Quarantine(Exception):
     """Internal: carries the quarantine message out of the failure handler."""
 
 
-def supervise(
-    tasks: Sequence[Any],
-    run: Callable[[Any], Any],
-    workers: int,
-    policy: SupervisorPolicy | None = None,
-    label: str = "task",
-) -> tuple[list[Any], SupervisionReport]:
+def supervise(tasks: Sequence[Any], run: Callable[[Any], Any], workers: int) -> list[Any]:
     """Run *run* over *tasks* in supervised fork-started processes.
 
-    Returns ``(results, report)`` with results in task order. Requires a
-    fork-capable platform; :func:`~repro.core.parallel.run_scenarios`
-    runs its serial loop instead where fork is missing. The parent's
-    serial retry calls *run* too.
+    Returns the results in task order. Requires a fork-capable
+    platform; :func:`~repro.core.parallel.run_scenarios` runs its
+    serial loop instead where fork is missing. The parent's serial
+    retry calls *run* too.
 
     Raises :class:`SupervisionError` when a task is quarantined (see the
     module docstring for the failure taxonomy); a worker that failed
@@ -226,17 +172,13 @@ def supervise(
     task_list = list(tasks)
     if workers < 1:
         raise AnalysisError(f"worker count must be positive, got {workers}")
-    if policy is None:
-        policy = SupervisorPolicy()
     count = len(task_list)
     if not count:
-        return [], SupervisionReport(label=label, tasks=())
+        return []
     context = multiprocessing.get_context("fork")
     results: list[Any] = [None] * count
     done = [False] * count
     attempts = [0] * count
-    failures: list[list[str]] = [[] for _ in range(count)]
-    recovered = [False] * count
     ready: list[int] = list(range(count))
     waiting: list[tuple[float, int]] = []  # (ready-at monotonic time, index)
     running: list[_Attempt] = []
@@ -247,7 +189,7 @@ def supervise(
         heartbeat = context.Value("d", 0.0, lock=False)
         process = context.Process(
             target=_child_main,
-            args=(run, task_list[index], child_conn, heartbeat, policy.heartbeat_interval_s),
+            args=(run, task_list[index], child_conn, heartbeat),
             daemon=True,
         )
         process.start()
@@ -278,26 +220,24 @@ def supervise(
             raise
         except _REPORTABLE_FAILURES as exc:
             raise SupervisionError(
-                f"{label} {index} quarantined after {attempts[index]} worker "
+                f"task {index} quarantined after {attempts[index]} worker "
                 f"attempt(s) and a failed serial retry: {type(exc).__name__}: {exc}"
             ) from exc
         done[index] = True
-        recovered[index] = True
 
     def _handle_failure(attempt: _Attempt, reason: str, kind: str) -> None:
         # kind: "repro" (genuine library error), "crash" (death /
-        # unexpected exception), "hang" (deadline or stale heartbeat).
-        failures[attempt.index].append(reason)
+        # unexpected exception), "hang" (stale heartbeat).
         if kind == "repro":
             _parent_retry(attempt.index)
             return
-        if attempt.attempt <= policy.max_restarts:
-            delay = backoff_delay_s(policy, attempt.index, attempt.attempt)
+        if attempt.attempt <= MAX_RESTARTS:
+            delay = backoff_delay_s(attempt.index, attempt.attempt)
             heappush(waiting, (time.monotonic() + delay, attempt.index))
             return
         if kind == "hang":
             raise _Quarantine(
-                f"{label} {attempt.index} quarantined after "
+                f"task {attempt.index} quarantined after "
                 f"{attempt.attempt} attempt(s); last failure: {reason} "
                 "(hung tasks are not retried serially)"
             )
@@ -312,9 +252,7 @@ def supervise(
                 _launch(ready.pop(0))
             if not running:
                 if waiting:
-                    time.sleep(
-                        min(policy.poll_interval_s, max(0.0, waiting[0][0] - now))
-                    )
+                    time.sleep(min(POLL_INTERVAL_S, max(0.0, waiting[0][0] - now)))
                 continue
             progressed = False
             for attempt in list(running):
@@ -348,42 +286,20 @@ def supervise(
                     )
                     progressed = True
                     continue
-                now = time.monotonic()
-                if policy.deadline_s is not None and now - attempt.started_s > policy.deadline_s:
-                    _kill(attempt)
-                    _handle_failure(
-                        attempt, f"deadline exceeded ({policy.deadline_s}s)", "hang"
-                    )
-                    progressed = True
-                    continue
                 beat = attempt.heartbeat.value
                 stale_since = beat if beat else attempt.started_s
-                if now - stale_since > policy.heartbeat_timeout_s:
+                if time.monotonic() - stale_since > HEARTBEAT_TIMEOUT_S:
                     _kill(attempt)
                     _handle_failure(
-                        attempt,
-                        f"heartbeat stale for over {policy.heartbeat_timeout_s}s",
-                        "hang",
+                        attempt, f"heartbeat stale for over {HEARTBEAT_TIMEOUT_S}s", "hang"
                     )
                     progressed = True
             if not progressed:
-                time.sleep(policy.poll_interval_s)
+                time.sleep(POLL_INTERVAL_S)
     except _Quarantine as exc:
         raise SupervisionError(str(exc)) from None
     finally:
         for attempt in list(running):
             _kill(attempt)
     assert all(done)
-    report = SupervisionReport(
-        label=label,
-        tasks=tuple(
-            TaskRecord(
-                index=index,
-                attempts=attempts[index],
-                failures=tuple(failures[index]),
-                recovered=recovered[index],
-            )
-            for index in range(count)
-        ),
-    )
-    return results, report
+    return results

@@ -35,7 +35,6 @@ from typing import Iterator
 from repro.core.parallel import (
     PressureStats,
     effective_worker_count,
-    in_scenario_fanout,
     merge_pressure_stats,
     run_scenarios,
 )
@@ -442,10 +441,7 @@ def _house_pressure_stats(context: HouseContext) -> PressureStats:
 def _resolve_fanout(config: ScenarioConfig, shards: int | None, workers: int) -> tuple[int, int]:
     """The (shards, workers) a generation run will actually use.
 
-    Workers degrade to 1 when this process is already inside a scenario
-    fan-out (nested fan-outs are rejected by
-    :func:`~repro.core.parallel.run_scenarios`; a serial shard loop is
-    byte-identical anyway) and when there is one shard to run. Automatic
+    Workers degrade to 1 when there is one shard to run. Automatic
     sharding gives each effective worker
     :data:`GENERATION_SHARDS_PER_WORKER` shards, bounded by the house
     count; explicit ``shards`` is honoured as-is (bounded by houses) so
@@ -455,8 +451,6 @@ def _resolve_fanout(config: ScenarioConfig, shards: int | None, workers: int) ->
         raise WorkloadError(f"worker count must be positive, got {workers}")
     if shards is not None and shards < 1:
         raise WorkloadError(f"shard count must be positive, got {shards}")
-    if workers > 1 and in_scenario_fanout():
-        workers = 1
     if shards is None:
         effective = effective_worker_count(workers, jobs=config.houses)
         shards = 1 if effective <= 1 else min(

@@ -15,6 +15,7 @@ from repro.core.parallel import (
     run_streaming_pipeline,
     shard_by_household,
 )
+from repro.core.streaming import PipelineResult
 from repro.cli import main
 from repro.errors import AnalysisError, WorkloadError
 from repro.monitor.capture import Trace, trace_digest
@@ -157,6 +158,18 @@ def test_parallel_equals_serial_blocking_threshold(trace, reference, workers, mo
     assert result.gap_analysis.blocking_threshold == 0.02
 
 
+def test_windowed_results_equal_for_every_worker_count(trace, monkeypatch):
+    # Each household shard drains on its own clock; the window must
+    # still admit the same expired fallbacks as the single stream.
+    _unclamp_cpus(monkeypatch)
+    serial, *sharded = [
+        run_streaming_pipeline(trace.dns, trace.conns, workers=workers, window_s=600.0)
+        for workers in (1, 2, 3)
+    ]
+    assert sharded == [serial, serial]
+    assert serial != run_streaming_pipeline(trace.dns, trace.conns)
+
+
 def test_pipeline_matches_context_study(trace):
     result = run_pipeline(trace)
     study = ContextStudy(trace)
@@ -217,20 +230,27 @@ def test_run_scenarios_rejects_bad_workers():
         run_scenarios([1], _square, workers=0)
 
 
-def test_run_scenarios_rejects_nested_fanout(monkeypatch):
-    # The fork fan-out state is a process-wide single slot; a nested or
-    # concurrent multi-worker call must fail loudly rather than dispatch
-    # the wrong scenarios.
-    import multiprocessing
-
+def test_nested_fanout_runs_serially(monkeypatch):
+    # Inside a fan-out (in its parent, or in a forked worker, which
+    # inherits the flag) a multi-worker call runs its serial loop.
     from repro.core import parallel as parallel_mod
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("fork start method unavailable")
     _unclamp_cpus(monkeypatch)
-    monkeypatch.setattr(parallel_mod, "_SCENARIO_FANOUT", (_square, [1]))
-    with pytest.raises(AnalysisError, match="already fanning out"):
-        run_scenarios([1, 2], _square, workers=2)
+    monkeypatch.setattr(parallel_mod, "_FANNING_OUT", True)
+    _forbid_supervise(monkeypatch)
+    assert run_scenarios([1, 2, 3], _square, workers=2) == [1, 4, 9]
+
+
+def _sweep_task(seed: int) -> tuple[str, PipelineResult]:
+    """A sweep task that itself generates and analyses with workers."""
+    trace = generate_trace(ScenarioConfig(seed=seed, houses=3, duration=1800.0), workers=2)
+    return trace_digest(trace), run_pipeline(trace, workers=2)
+
+
+def test_sweep_task_with_workers_matches_serial(monkeypatch):
+    _unclamp_cpus(monkeypatch)
+    serial = run_scenarios([5, 6], _sweep_task, workers=1)
+    assert run_scenarios([5, 6], _sweep_task, workers=2) == serial
 
 
 def test_run_scenarios_recovers_crashed_workers(monkeypatch):

@@ -152,6 +152,23 @@ def test_lenient_quarantines_a_torn_json_line(logs, tmp_path):
     assert "  line 5: invalid JSON" in err
 
 
+def test_a_deeply_nested_json_line_is_malformed(logs, tsv_reports, tmp_path):
+    with open(logs["json"][1], encoding="utf-8") as stream:
+        lines = stream.readlines()
+    nested = '{"ts": ' + "[" * 100_000 + "]" * 100_000 + "}\n"
+    path = str(tmp_path / "conn.log")
+    with open(path, "w", encoding="utf-8") as stream:
+        stream.writelines(lines[:4] + [nested] + lines[4:])
+    dns_path = logs["json"][0]
+    code, _, err = _run("analyze", "--dns", dns_path, "--conn", path)
+    assert code == EXIT_DATA
+    assert "error: line 5: invalid JSON: nested too deeply" in err
+    code, out, err = _run("analyze", "--lenient", "--dns", dns_path, "--conn", path)
+    assert code == 0, err
+    assert "  line 5: invalid JSON: nested too deeply" in err
+    assert out == tsv_reports["lenient"]
+
+
 def test_convert_json_to_rblg_and_back_equals_tsv(logs, tmp_path):
     binary, back = str(tmp_path / "dns.rblg"), str(tmp_path / "dns.log")
     code, out, err = _run("convert", "--kind", "dns", logs["json"][0], binary)

@@ -262,19 +262,25 @@ class TestIncrementalPairingRegression:
 class TestAnalyzerBehaviour:
     def test_drain_schedule_is_result_invariant(self, monkeypatch):
         trace = generate_trace(ScenarioConfig(seed=2, houses=2, duration=2 * 3600.0))
-        config = StreamingConfig()
 
-        def run(drain_interval_s):
+        def run(drain_interval_s, config):
             monkeypatch.setattr(streaming, "DEFAULT_DRAIN_INTERVAL_S", drain_interval_s)
             return finalize_result(analyze_stream(trace.dns, trace.conns, config), config)
 
-        fast_result = run(15.0)
-        slow_result = run(3600.0)
+        config = StreamingConfig()
+        fast_result = run(15.0, config)
+        slow_result = run(3600.0, config)
         reference = ContextStudy(trace).pipeline_result()
         assert fast_result.census == slow_result.census == reference.census
         assert fast_result.gap_analysis == slow_result.gap_analysis == reference.gap_analysis
         # Faster draining can only lower the index high-water mark.
         assert fast_result.peak_live_records <= slow_result.peak_live_records
+        # A window shorter than some fallback gaps: the window decides
+        # which fallbacks pair, not when the last drain ran.
+        windowed = StreamingConfig(window_s=600.0)
+        results = [run(interval, windowed) for interval in (15.0, 60.0, 600.0, 3600.0)]
+        assert all(result == results[0] for result in results[1:])
+        assert results[0].census != reference.census
 
     def test_addressless_answers_count_as_unused(self):
         config = StreamingConfig()

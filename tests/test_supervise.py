@@ -1,9 +1,8 @@
 """Tests for the fork-process supervisor behind the parallel fan-outs.
 
 Covers the full failure taxonomy: clean runs, crash-then-restart,
-poison-task quarantine, genuine ``ReproError`` propagation, deadline and
-heartbeat-stall kills, deterministic seeded backoff, and the provenance
-carried by :class:`~repro.supervise.SupervisionReport`.
+poison-task quarantine, genuine ``ReproError`` propagation, heartbeat
+stall kills and deterministic seeded backoff.
 """
 
 import multiprocessing
@@ -13,29 +12,25 @@ import time
 
 import pytest
 
+from repro import supervise as supervise_mod
 from repro.errors import AnalysisError, SupervisionError, WorkloadError
-from repro.supervise import (
-    SupervisionReport,
-    SupervisorPolicy,
-    TaskRecord,
-    backoff_delay_s,
-    supervise,
-)
+from repro.supervise import backoff_delay_s, supervise
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="supervisor requires a fork-capable platform",
 )
 
-#: A fast policy for tests: tight heartbeats, near-zero backoff.
-FAST = SupervisorPolicy(
-    max_restarts=1,
-    heartbeat_interval_s=0.05,
-    heartbeat_timeout_s=5.0,
-    backoff_base_s=0.01,
-    backoff_cap_s=0.02,
-    poll_interval_s=0.01,
-)
+
+@pytest.fixture(autouse=True)
+def fast_timings(monkeypatch):
+    """Tight heartbeats and near-zero backoff; forked workers inherit them."""
+    monkeypatch.setattr(supervise_mod, "HEARTBEAT_INTERVAL_S", 0.05)
+    monkeypatch.setattr(supervise_mod, "HEARTBEAT_TIMEOUT_S", 5.0)
+    monkeypatch.setattr(supervise_mod, "BACKOFF_BASE_S", 0.01)
+    monkeypatch.setattr(supervise_mod, "BACKOFF_CAP_S", 0.02)
+    monkeypatch.setattr(supervise_mod, "POLL_INTERVAL_S", 0.01)
+
 
 _PARENT_PID = os.getpid()
 
@@ -63,19 +58,14 @@ def _workload_error(value):
 
 
 def _crash_once_marker(task):
-    """Crashes on the first attempt per task (flag file), then succeeds."""
+    """Crashes on the first attempt per task (flag file), then reports
+    its result and the process that computed it."""
     marker, value = task
     if not os.path.exists(marker):
         with open(marker, "w", encoding="ascii") as stream:
             stream.write("attempted")
         os._exit(17)
-    return value * 10
-
-
-def _hang(value):
-    """Blocks far longer than any test deadline."""
-    time.sleep(600)
-    return value
+    return value * 10, os.getpid()
 
 
 def _stop_self(value):
@@ -89,124 +79,63 @@ def _stop_self(value):
 
 
 def test_results_in_task_order():
-    results, report = supervise(list(range(7)), _square, workers=3, policy=FAST)
-    assert results == [0, 1, 4, 9, 16, 25, 36]
-    assert report.clean
-    assert report.restarts == 0
-    assert report.recovered_indices == ()
-    assert all(record.attempts == 1 for record in report.tasks)
+    assert supervise(list(range(7)), _square, workers=3) == [0, 1, 4, 9, 16, 25, 36]
 
 
 def test_empty_task_list():
-    results, report = supervise([], _square, workers=2, policy=FAST)
-    assert results == []
-    assert report == SupervisionReport(label="task", tasks=())
+    assert supervise([], _square, workers=2) == []
 
 
 def test_worker_count_must_be_positive():
     with pytest.raises(AnalysisError, match="positive"):
-        supervise([1], _square, workers=0, policy=FAST)
+        supervise([1], _square, workers=0)
 
 
 def test_crash_then_restart_succeeds(tmp_path):
     tasks = [(str(tmp_path / f"marker{i}"), i) for i in range(3)]
-    results, report = supervise(tasks, _crash_once_marker, workers=2, policy=FAST)
-    assert results == [0, 10, 20]
-    assert report.restarts == 3
-    assert report.recovered_indices == ()
-    for record in report.tasks:
-        assert record.attempts == 2
-        assert not record.clean
-        # Depending on poll/exit timing the parent sees either the raw
-        # exit code or the pipe EOF; both are crash-kind failures.
-        assert (
-            "exited with code 17" in record.failures[0]
-            or "pipe closed" in record.failures[0]
-        )
+    results = supervise(tasks, _crash_once_marker, workers=2)
+    assert [value for value, _ in results] == [0, 10, 20]
+    # The restart ran in a new worker, not in the parent's serial retry.
+    assert all(pid != _PARENT_PID for _, pid in results)
 
 
 def test_worker_only_crash_falls_back_to_parent_retry():
-    results, report = supervise(
-        [1, 2], _crash_in_workers_only, workers=2, policy=FAST
-    )
-    assert results == [101, 102]
-    assert report.recovered_indices == (0, 1)
-    # max_restarts=1: two worker attempts each, then the serial rescue.
-    assert all(record.attempts == 2 for record in report.tasks)
-    assert all(record.recovered for record in report.tasks)
+    # MAX_RESTARTS=1: two worker attempts each, then the serial rescue,
+    # whose results only the parent computes.
+    assert supervise([1, 2], _crash_in_workers_only, workers=2) == [101, 102]
 
 
 def test_poison_task_is_quarantined():
     with pytest.raises(SupervisionError, match="task 1 quarantined"):
-        supervise([1, 99, 2], lambda v: _crash_always(v) if v == 99 else v,
-                  workers=1, policy=FAST)
+        supervise([1, 99, 2], lambda v: _crash_always(v) if v == 99 else v, workers=1)
 
 
 def test_repro_error_propagates_without_restart():
     with pytest.raises(WorkloadError, match="bad input 5"):
-        supervise([5], _workload_error, workers=1, policy=FAST)
+        supervise([5], _workload_error, workers=1)
 
 
-def test_deadline_kill_quarantines_without_parent_retry():
-    policy = SupervisorPolicy(
-        max_restarts=0,
-        deadline_s=0.3,
-        heartbeat_interval_s=0.05,
-        heartbeat_timeout_s=60.0,
-        backoff_base_s=0.01,
-        backoff_cap_s=0.02,
-        poll_interval_s=0.01,
-    )
+def test_stalled_heartbeat_is_detected_and_killed(monkeypatch):
+    monkeypatch.setattr(supervise_mod, "MAX_RESTARTS", 0)
+    monkeypatch.setattr(supervise_mod, "HEARTBEAT_TIMEOUT_S", 0.5)
     start = time.monotonic()
-    with pytest.raises(SupervisionError, match="not retried serially"):
-        supervise([1], _hang, workers=1, policy=policy)
-    # The quarantine must come from the deadline, not from the task
-    # finishing: well under the hang's sleep.
+    with pytest.raises(
+        SupervisionError, match="heartbeat stale.*not retried serially"
+    ):
+        supervise([1], _stop_self, workers=1)
+    # The quarantine comes from the staleness check, not from a retry
+    # in the parent (which would stop the test process itself).
     assert time.monotonic() - start < 30.0
 
 
-def test_stalled_heartbeat_is_detected_and_killed():
-    policy = SupervisorPolicy(
-        max_restarts=0,
-        heartbeat_interval_s=0.05,
-        heartbeat_timeout_s=0.5,
-        backoff_base_s=0.01,
-        backoff_cap_s=0.02,
-        poll_interval_s=0.01,
-    )
-    with pytest.raises(SupervisionError, match="heartbeat stale"):
-        supervise([1], _stop_self, workers=1, policy=policy)
-
-
 def test_backoff_is_deterministic_and_bounded():
-    policy = SupervisorPolicy(backoff_base_s=0.05, backoff_cap_s=1.0, seed=3)
-    delays = [backoff_delay_s(policy, index, attempt)
+    delays = [backoff_delay_s(index, attempt)
               for index in range(4) for attempt in range(1, 5)]
-    again = [backoff_delay_s(policy, index, attempt)
+    again = [backoff_delay_s(index, attempt)
              for index in range(4) for attempt in range(1, 5)]
     assert delays == again
     for delay in delays:
-        assert 0.0 < delay <= policy.backoff_cap_s
-    # Different seeds jitter differently.
-    other = SupervisorPolicy(backoff_base_s=0.05, backoff_cap_s=1.0, seed=4)
-    assert backoff_delay_s(other, 0, 1) != backoff_delay_s(policy, 0, 1)
-
-
-def test_policy_validation():
-    with pytest.raises(AnalysisError):
-        SupervisorPolicy(max_restarts=-1)
-    with pytest.raises(AnalysisError):
-        SupervisorPolicy(deadline_s=0.0)
-    with pytest.raises(AnalysisError):
-        SupervisorPolicy(heartbeat_timeout_s=0.0)
-    with pytest.raises(AnalysisError):
-        SupervisorPolicy(backoff_base_s=0.5, backoff_cap_s=0.1)
-
-
-def test_task_record_provenance_shape():
-    record = TaskRecord(index=2, attempts=3, failures=("a", "b"), recovered=True)
-    assert not record.clean
-    report = SupervisionReport(label="shard", tasks=(record,))
-    assert report.restarts == 2
-    assert report.recovered_indices == (2,)
-    assert not report.clean
+        assert 0.0 < delay <= supervise_mod.BACKOFF_CAP_S
+    # Different tasks and attempts jitter differently.
+    assert backoff_delay_s(0, 1) != backoff_delay_s(1, 1)
+    assert len(set(delays)) == len(delays)
